@@ -39,6 +39,10 @@
 //! the RSS margin immediately. Baseline cases above 10⁵ devices (the 10⁶
 //! local record) are kept in the file but not re-measured on CI.
 //!
+//! The three gates (kernel, serve, fleet) run independently: a failing
+//! gate never hides the others' verdicts. Each prints its verdict, and the
+//! process exits non-zero if any gate failed.
+//!
 //! `--write-baseline` regenerates all committed baselines in place. The
 //! fleet baseline includes the 10⁶-device case only when
 //! `FLEET_GRID_FULL` is set (it takes minutes — a local, not CI, run).
@@ -129,9 +133,9 @@ fn load_fleet_baseline() -> fleet_perf::FleetReport {
 }
 
 /// Re-measures the CI-sized fleet grid (baseline cases above
-/// [`fleet_perf::GATE_MAX_DEVICES`] are skipped) with retries; exits the
-/// process on failure.
-fn gate_fleet() {
+/// [`fleet_perf::GATE_MAX_DEVICES`] are skipped) with retries; true on
+/// pass.
+fn gate_fleet() -> bool {
     let baseline = load_fleet_baseline();
     let grid: Vec<(usize, usize)> = baseline
         .cases
@@ -146,7 +150,7 @@ fn gate_fleet() {
         if failures.is_empty() {
             println!("bench_check[fleet]: OK (attempt {attempt}/{ATTEMPTS})");
             fleet_perf::print_report(&measured);
-            return;
+            return true;
         }
         eprintln!(
             "bench_check[fleet]: attempt {attempt}/{ATTEMPTS} regressed:\n  {}",
@@ -158,11 +162,11 @@ fn gate_fleet() {
          {ATTEMPTS} attempts:\n  {}",
         failures.join("\n  ")
     );
-    std::process::exit(1);
+    false
 }
 
-/// Runs the serve gate with retries; exits the process on failure.
-fn gate_serve() {
+/// Runs the serve gate with retries; true on pass.
+fn gate_serve() -> bool {
     let baseline = load_serve_baseline();
     let mut failures = Vec::new();
     for attempt in 1..=ATTEMPTS {
@@ -171,7 +175,7 @@ fn gate_serve() {
         if failures.is_empty() {
             println!("bench_check[serve]: OK (attempt {attempt}/{ATTEMPTS})");
             serve_perf::print_report(&measured);
-            return;
+            return true;
         }
         eprintln!(
             "bench_check[serve]: attempt {attempt}/{ATTEMPTS} regressed:\n  {}",
@@ -183,7 +187,32 @@ fn gate_serve() {
          {ATTEMPTS} attempts:\n  {}",
         failures.join("\n  ")
     );
-    std::process::exit(1);
+    false
+}
+
+/// Runs the blocked-kernel gate with retries; true on pass.
+fn gate_kernel() -> bool {
+    let baseline = load_baseline();
+    let mut failures = Vec::new();
+    for attempt in 1..=ATTEMPTS {
+        let measured = measure(BUDGET);
+        failures = check(&baseline, &measured);
+        if failures.is_empty() {
+            println!("bench_check[kernel]: OK (attempt {attempt}/{ATTEMPTS})");
+            print_report(&measured);
+            return true;
+        }
+        eprintln!(
+            "bench_check: attempt {attempt}/{ATTEMPTS} regressed:\n  {}",
+            failures.join("\n  ")
+        );
+    }
+    eprintln!(
+        "bench_check: FAIL — blocked-kernel speedup regressed in all \
+         {ATTEMPTS} attempts:\n  {}",
+        failures.join("\n  ")
+    );
+    false
 }
 
 fn load_baseline() -> KernelReport {
@@ -283,27 +312,19 @@ fn main() {
         return;
     }
 
-    let baseline = load_baseline();
-    let mut failures = Vec::new();
-    for attempt in 1..=ATTEMPTS {
-        let measured = measure(BUDGET);
-        failures = check(&baseline, &measured);
-        if failures.is_empty() {
-            println!("bench_check[kernel]: OK (attempt {attempt}/{ATTEMPTS})");
-            print_report(&measured);
-            gate_serve();
-            gate_fleet();
-            return;
-        }
-        eprintln!(
-            "bench_check: attempt {attempt}/{ATTEMPTS} regressed:\n  {}",
-            failures.join("\n  ")
+    let verdicts = [
+        ("kernel", gate_kernel()),
+        ("serve", gate_serve()),
+        ("fleet", gate_fleet()),
+    ];
+    println!();
+    for (gate, passed) in verdicts {
+        println!(
+            "bench_check[{gate}]: {}",
+            if passed { "PASS" } else { "FAIL" }
         );
     }
-    eprintln!(
-        "bench_check: FAIL — blocked-kernel speedup regressed in all \
-         {ATTEMPTS} attempts:\n  {}",
-        failures.join("\n  ")
-    );
-    std::process::exit(1);
+    if verdicts.iter().any(|&(_, passed)| !passed) {
+        std::process::exit(1);
+    }
 }

@@ -7,8 +7,11 @@
 //! (`crates/fl-bench/results/fleet_bench.json`) and the regression check
 //! always measure the same thing.
 //!
-//! Two properties are gated:
+//! Three properties are gated:
 //!
+//! * **total cost** — every re-measured case's `total_cost` must equal the
+//!   baseline bit for bit: the simulation is deterministic, so any drift
+//!   is a physics change, never noise,
 //! * **throughput ratio** — a case may run up to 4x slower than baseline
 //!   before failing (shared CI hosts are noisy; the gate catches
 //!   order-of-magnitude regressions like an accidentally serialized shard
@@ -55,9 +58,8 @@ pub struct FleetCase {
     /// therefore compares only the final (largest) re-measured case.
     pub peak_rss_mib: f64,
     /// `Σ_k (T^k + λ ΣE^k)` over the measured rounds. Not a performance
-    /// number — recorded so behavioural drift of the simulation shows up
-    /// as a baseline diff in review, and so the 64-vs-1-shard CI
-    /// comparison has a digest to agree on.
+    /// number — a whole-system digest of the physics that [`check`]
+    /// requires to match the baseline bit for bit.
     pub total_cost: f64,
 }
 
@@ -164,6 +166,12 @@ pub fn check(baseline: &FleetReport, measured: &FleetReport) -> Vec<String> {
             failures.push(format!("case {} missing from measurement", b.name));
             continue;
         };
+        if m.total_cost.to_bits() != b.total_cost.to_bits() {
+            failures.push(format!(
+                "{}: total cost {:?} differs from baseline {:?} — the physics changed",
+                b.name, m.total_cost, b.total_cost
+            ));
+        }
         let min_rate = b.rounds_per_sec * MIN_RATE_FRAC;
         if m.rounds_per_sec < min_rate {
             failures.push(format!(
@@ -239,6 +247,9 @@ mod tests {
         assert_eq!(check(&base, &fat).len(), 1);
         let missing = report(vec![case(1_000, 100.0, 50.0)]);
         assert_eq!(check(&base, &missing).len(), 1);
+        let mut drifted = report(vec![case(1_000, 100.0, 50.0), case(100_000, 4.0, 400.0)]);
+        drifted.cases[0].total_cost = f64::from_bits(100.0f64.to_bits() + 1);
+        assert_eq!(check(&base, &drifted).len(), 1);
     }
 
     #[test]
@@ -278,6 +289,28 @@ mod tests {
         if std::path::Path::new("/proc/self/status").exists() {
             assert!(rss > 0.0, "VmHWM should parse on Linux, got {rss}");
         }
+    }
+
+    /// The physics refactor tripwire: the gated `fleet_1000` case
+    /// reproduces the committed baseline's total cost bit for bit.
+    #[test]
+    fn fleet_1000_total_cost_matches_committed_baseline() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/fleet_bench.json");
+        let text = std::fs::read_to_string(path).expect("committed fleet baseline");
+        let baseline: FleetReport = serde_json::from_str(&text).expect("valid fleet baseline");
+        let b = baseline
+            .cases
+            .iter()
+            .find(|c| c.name == "fleet_1000")
+            .expect("baseline has fleet_1000");
+        let m = run_case(&Scenario::scale50(), b.devices, b.rounds, b.shards);
+        assert_eq!(
+            m.total_cost.to_bits(),
+            b.total_cost.to_bits(),
+            "{} vs baseline {}",
+            m.total_cost,
+            b.total_cost
+        );
     }
 
     #[test]

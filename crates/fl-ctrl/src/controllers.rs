@@ -66,7 +66,7 @@ impl FrequencyController for MaxFreqController {
         sys: &FlSystem,
         _prev: Option<&IterationReport>,
     ) -> Result<Vec<f64>> {
-        Ok(sys.devices().iter().map(|d| d.delta_max_ghz).collect())
+        Ok(sys.fleet().max_freqs())
     }
 }
 
@@ -138,7 +138,7 @@ impl FrequencyController for StaticController {
     ) -> Result<Vec<f64>> {
         if self.plan.is_none() {
             let plan = optimize_frequencies(
-                sys.devices(),
+                &sys.devices(),
                 &solver_params(sys, self.min_freq_frac),
                 &self.estimates,
             )?;
@@ -195,7 +195,7 @@ impl FrequencyController for HeuristicController {
             None => trace_mean_bandwidths(sys)?,
         };
         let plan = optimize_frequencies(
-            sys.devices(),
+            &sys.devices(),
             &solver_params(sys, self.min_freq_frac),
             &estimates,
         )?;
@@ -289,7 +289,7 @@ impl FrequencyController for PredictiveController {
         }
         let estimates: Vec<f64> = self.predictors.iter().map(|p| p.predict()).collect();
         let plan = optimize_frequencies(
-            sys.devices(),
+            &sys.devices(),
             &solver_params(sys, self.min_freq_frac),
             &estimates,
         )?;
@@ -326,7 +326,7 @@ impl OracleController {
     /// Exact finish time (relative to `t_start`) of a device running at
     /// frequency `f`, via trace integration.
     fn finish_time(sys: &FlSystem, device: usize, t_start: f64, freq: f64) -> Result<f64> {
-        let d = &sys.devices()[device];
+        let d = sys.fleet().state().device(device);
         let compute = d.compute_time(sys.config().tau, freq);
         let comm = sys
             .trace_of(device)?
@@ -343,9 +343,9 @@ impl OracleController {
         rel_deadline: f64,
         min_frac: f64,
     ) -> Result<f64> {
-        let d = &sys.devices()[device];
-        let mut lo = min_frac * d.delta_max_ghz;
-        let mut hi = d.delta_max_ghz;
+        let cap = sys.fleet().state().delta_max_ghz[device];
+        let mut lo = min_frac * cap;
+        let mut hi = cap;
         if Self::finish_time(sys, device, t_start, hi)? > rel_deadline {
             return Ok(hi); // deadline unreachable: run flat out
         }
@@ -391,14 +391,13 @@ impl FrequencyController for OracleController {
         // Deadline range from the exact finish times at the extremes.
         let mut t_lo: f64 = 0.0;
         let mut t_hi: f64 = 0.0;
-        for i in 0..n {
-            let d = &sys.devices()[i];
-            t_lo = t_lo.max(Self::finish_time(sys, i, t_start, d.delta_max_ghz)?);
+        for (i, &cap) in sys.fleet().state().delta_max_ghz.iter().enumerate() {
+            t_lo = t_lo.max(Self::finish_time(sys, i, t_start, cap)?);
             t_hi = t_hi.max(Self::finish_time(
                 sys,
                 i,
                 t_start,
-                self.min_freq_frac * d.delta_max_ghz,
+                self.min_freq_frac * cap,
             )?);
         }
         let mut best_freqs: Option<Vec<f64>> = None;
@@ -487,40 +486,24 @@ impl DrlController {
     /// the trained network and frozen observation statistics carry over
     /// unchanged (the pooled observation width is fleet-size independent);
     /// only the per-device statics — and hence the action dimension — are
-    /// rebuilt for `sys`. Errors for non-broadcast policies.
-    pub fn with_fleet(&self, sys: &FlSystem) -> Result<Self> {
-        let statics = crate::train::device_statics(sys);
-        self.rebind(statics)
-    }
-
-    /// [`DrlController::with_fleet`] for a sharded [`FleetSim`]: rebinds
-    /// straight from the struct-of-arrays state without materializing an
-    /// `FlSystem`, so a 10⁶-device fleet never allocates a per-device
-    /// struct vector just to derive statics.
+    /// rebuilt, straight from the fleet's struct-of-arrays state. Errors
+    /// for non-broadcast policies. An [`FlSystem`] rebinds through
+    /// `with_fleet_sim(sys.fleet())`.
     pub fn with_fleet_sim(&self, fleet: &FleetSim) -> Result<Self> {
         let statics = crate::train::fleet_statics(fleet.state(), fleet.config().tau);
-        self.rebind(statics)
-    }
-
-    fn rebind(&self, statics: fl_nn::Matrix) -> Result<Self> {
         let policy = self.policy.with_fleet(statics).map_err(CtrlError::from)?;
         Ok(DrlController {
             policy,
             obs_norm: self.obs_norm.clone(),
-            slot_h: self.slot_h,
-            history_len: self.history_len,
-            min_freq_frac: self.min_freq_frac,
-            participation_tail: self.participation_tail,
-            obs_mode: self.obs_mode,
+            ..*self
         })
     }
 
-    /// Pooled-observation decision against a sharded [`FleetSim`] — the
-    /// fleet-scale twin of the [`FrequencyController::decide`] pooled
-    /// path: same pooled observation schema, same frozen normalizer, same
-    /// squash, so for the same underlying devices the two paths agree
-    /// bit-for-bit. Broadcast policies run inference in bounded row
-    /// chunks, so the full `N x in_dim` batch is never materialized.
+    /// Pooled-observation decision against a sharded [`FleetSim`]: the
+    /// same body as the [`FrequencyController::decide`] pooled path, fed
+    /// the previous round's [`FleetRound::survival_fraction`]. Broadcast
+    /// policies run inference in bounded row chunks, so the full
+    /// `N x in_dim` batch is never materialized.
     pub fn decide_fleet(
         &self,
         t_start: f64,
@@ -532,6 +515,16 @@ impl DrlController {
                 "decide_fleet requires a controller trained with ObsMode::Pooled".to_string(),
             ));
         }
+        // Optimistic first-round convention, matching `decide`.
+        let survival = prev.map_or(1.0, |r| r.survival_fraction());
+        self.decide_pooled(t_start, fleet, survival)
+    }
+
+    /// The pooled decision body: observe the fleet's quantile summary (with
+    /// the survival tail when trained with one), then act on it.
+    fn decide_pooled(&self, t_start: f64, fleet: &FleetSim, survival: f64) -> Result<Vec<f64>> {
+        // The pooled obs width cannot catch a fleet-size mismatch (that is
+        // the point of it), so check the action side.
         if self.policy.action_dim() != fleet.num_devices() {
             return Err(CtrlError::InvalidArgument(format!(
                 "controller bound to {} devices, fleet has {} \
@@ -540,11 +533,15 @@ impl DrlController {
                 fleet.num_devices()
             )));
         }
-        // Optimistic first-round convention, matching `decide`.
-        let survival = self
-            .participation_tail
-            .then(|| prev.map_or(1.0, |r| r.survival_fraction()));
+        let survival = self.participation_tail.then_some(survival);
         let obs = fleet.observe_pooled(t_start, self.slot_h, self.history_len, survival)?;
+        self.act(&obs, fleet)
+    }
+
+    /// Normalizes `obs` with the frozen statistics, runs the deterministic
+    /// actor (in bounded row chunks for broadcast policies — chunking is
+    /// bit-neutral) and squashes each output into its device's cap.
+    fn act(&self, obs: &[f64], fleet: &FleetSim) -> Result<Vec<f64>> {
         if obs.len() != self.policy.obs_dim() {
             return Err(CtrlError::InvalidArgument(format!(
                 "fleet produces obs dim {}, controller trained for {}",
@@ -552,7 +549,7 @@ impl DrlController {
                 self.policy.obs_dim()
             )));
         }
-        let norm = self.obs_norm.normalize(&obs);
+        let norm = self.obs_norm.normalize(obs);
         let raw = if self.policy.is_broadcast() {
             self.policy.mean_action_chunked(&norm, FLEET_CHUNK_ROWS)
         } else {
@@ -603,71 +600,34 @@ impl FrequencyController for DrlController {
         sys: &FlSystem,
         prev: Option<&IterationReport>,
     ) -> Result<Vec<f64>> {
-        let obs = match self.obs_mode {
+        let n = sys.num_devices();
+        // A report from a different fleet (or none, on the first
+        // iteration) gets the optimistic all-survived convention, matching
+        // the env's post-reset observation.
+        let prev = prev.filter(|r| r.devices.len() == n);
+        match self.obs_mode {
             ObsMode::PerDevice => {
                 let mut obs =
                     sys.observe_bandwidth_state(t_start, self.slot_h, self.history_len)?;
                 if self.participation_tail {
                     match prev {
-                        Some(r) if r.devices.len() == sys.num_devices() => {
-                            obs.extend(r.devices.iter().map(|d| {
-                                if d.status.survived() {
-                                    1.0
-                                } else {
-                                    0.0
-                                }
-                            }));
-                        }
-                        // First iteration (or foreign report): optimistic
-                        // flags, matching the env's post-reset convention.
-                        _ => obs.resize(obs.len() + sys.num_devices(), 1.0),
+                        Some(r) => obs.extend(r.devices.iter().map(|d| {
+                            if d.status.survived() {
+                                1.0
+                            } else {
+                                0.0
+                            }
+                        })),
+                        None => obs.resize(obs.len() + n, 1.0),
                     }
                 }
-                obs
+                self.act(&obs, sys.fleet())
             }
             ObsMode::Pooled => {
-                // The pooled obs width cannot catch a fleet-size mismatch
-                // (that is the point of it), so check the action side.
-                if self.policy.action_dim() != sys.num_devices() {
-                    return Err(CtrlError::InvalidArgument(format!(
-                        "controller bound to {} devices, system has {} \
-                         (rebind with DrlController::with_fleet)",
-                        self.policy.action_dim(),
-                        sys.num_devices()
-                    )));
-                }
-                let survival = self.participation_tail.then(|| match prev {
-                    Some(r) if r.devices.len() == sys.num_devices() => {
-                        let survived = r.devices.iter().filter(|d| d.status.survived()).count();
-                        survived as f64 / sys.num_devices() as f64
-                    }
-                    // Optimistic first-iteration convention, as above.
-                    _ => 1.0,
-                });
-                fl_sim::pooled_system_observation(
-                    sys,
-                    t_start,
-                    self.slot_h,
-                    self.history_len,
-                    survival,
-                )?
+                let survival = prev.map_or(1.0, |r| r.survivors() as f64 / n as f64);
+                self.decide_pooled(t_start, sys.fleet(), survival)
             }
-        };
-        if obs.len() != self.policy.obs_dim() {
-            return Err(CtrlError::InvalidArgument(format!(
-                "system produces obs dim {}, controller trained for {}",
-                obs.len(),
-                self.policy.obs_dim()
-            )));
         }
-        let norm = self.obs_norm.normalize(&obs);
-        let raw = self.policy.mean_action(&norm).map_err(CtrlError::from)?;
-        Ok(sys
-            .devices()
-            .iter()
-            .zip(&raw)
-            .map(|(d, &a)| squash_to_freq(a, d.delta_max_ghz, self.min_freq_frac))
-            .collect())
     }
 }
 

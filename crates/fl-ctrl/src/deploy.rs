@@ -86,7 +86,7 @@ impl ControllerSnapshot {
     /// Packages a controller with the caps of the system it was trained
     /// against — the usual export path after training.
     pub fn from_system(controller: DrlController, sys: &FlSystem) -> Result<Self> {
-        let caps = sys.devices().iter().map(|d| d.delta_max_ghz).collect();
+        let caps = sys.fleet().max_freqs();
         Self::new(controller, caps)
     }
 

@@ -232,10 +232,12 @@ impl FlFreqEnv {
     /// Squashes a raw action vector into per-device frequencies.
     pub fn map_action(&self, raw: &[f64]) -> Vec<f64> {
         self.sys
-            .devices()
+            .fleet()
+            .state()
+            .delta_max_ghz
             .iter()
             .zip(raw)
-            .map(|(d, &a)| squash_to_freq(a, d.delta_max_ghz, self.cfg.min_freq_frac))
+            .map(|(&cap, &a)| squash_to_freq(a, cap, self.cfg.min_freq_frac))
             .collect()
     }
 
@@ -260,8 +262,7 @@ impl FlFreqEnv {
                 let survival = self.cfg.faults_enabled().then(|| {
                     self.flags.iter().fold(0.0, |a, &f| a + f) / self.flags.len().max(1) as f64
                 });
-                Ok(fl_sim::pooled_system_observation(
-                    &self.sys,
+                Ok(self.sys.fleet().observe_pooled(
                     self.t,
                     self.cfg.slot_h,
                     self.cfg.history_len,

@@ -152,10 +152,12 @@ impl FrequencyController for OnlineDrlController {
             .act(&obs, &mut self.rng)
             .map_err(CtrlError::from)?;
         let freqs: Vec<f64> = sys
-            .devices()
+            .fleet()
+            .state()
+            .delta_max_ghz
             .iter()
             .zip(&out.action)
-            .map(|(d, &a)| squash_to_freq(a, d.delta_max_ghz, self.env.min_freq_frac))
+            .map(|(&cap, &a)| squash_to_freq(a, cap, self.env.min_freq_frac))
             .collect();
         self.pending = Some(Pending {
             norm_obs: out.norm_obs,

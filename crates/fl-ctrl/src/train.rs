@@ -181,27 +181,10 @@ impl TrainConfig {
 /// Per-device static constants for the weight-sharing architectures,
 /// roughly unit-scaled so they sit comfortably next to the whitened
 /// bandwidth features. Row `d` is
-/// `[τ·c_d·D_d/2, δ_d^max, 2α_d, 4e_d]`. Public so deployment harnesses can
-/// rebuild the matrix for a *different* fleet when rebinding a broadcast
-/// policy (`GaussianPolicy::with_fleet`).
-pub fn device_statics(sys: &FlSystem) -> fl_nn::Matrix {
-    let tau = sys.config().tau as f64;
-    fl_nn::Matrix::from_fn(sys.num_devices(), 4, |d, c| {
-        let dev = &sys.devices()[d];
-        match c {
-            0 => tau * dev.gcycles_per_pass() / 2.0,
-            1 => dev.delta_max_ghz,
-            2 => dev.alpha * 2.0,
-            _ => dev.tx_power_w * 4.0,
-        }
-    })
-}
-
-/// [`device_statics`] computed straight from a sharded fleet's
-/// struct-of-arrays state — avoids materializing an [`FlSystem`] (and its
-/// per-device `Vec`) at 10⁶ scale. Bit-identical to `device_statics` on
-/// the equivalent system: both evaluate the same per-device expressions in
-/// device order.
+/// `[τ·c_d·D_d/2, δ_d^max, 2α_d, 4e_d]`, read straight from the fleet's
+/// struct-of-arrays state (an [`FlSystem`] passes `sys.fleet().state()`).
+/// Public so deployment harnesses can rebuild the matrix for a *different*
+/// fleet when rebinding a broadcast policy (`GaussianPolicy::with_fleet`).
 pub fn fleet_statics(state: &fl_sim::FleetState, tau: u32) -> fl_nn::Matrix {
     let tau = tau as f64;
     fl_nn::Matrix::from_fn(state.len(), 4, |d, c| {
@@ -231,7 +214,7 @@ fn build_agent(
             let policy = fl_rl::GaussianPolicy::new_shared(
                 sys.num_devices(),
                 config.env.history_len + 1,
-                device_statics(sys),
+                fleet_statics(sys.fleet().state(), sys.config().tau),
                 &config.ppo.hidden,
                 config.ppo.init_log_std,
                 rng,
@@ -242,7 +225,7 @@ fn build_agent(
         PolicyArch::Broadcast => {
             let policy = fl_rl::GaussianPolicy::new_broadcast(
                 obs_dim,
-                device_statics(sys),
+                fleet_statics(sys.fleet().state(), sys.config().tau),
                 &config.ppo.hidden,
                 config.ppo.init_log_std,
                 rng,
@@ -1236,7 +1219,7 @@ mod tests {
         )
         .unwrap();
         assert!(ctrl.decide(0, 500.0, &big, None).is_err());
-        let mut rebound = ctrl.with_fleet(&big).unwrap();
+        let mut rebound = ctrl.with_fleet_sim(big.fleet()).unwrap();
         assert_eq!(
             rebound.policy().mean_net().export_params(),
             ctrl.policy().mean_net().export_params()

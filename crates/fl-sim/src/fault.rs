@@ -13,8 +13,9 @@
 //!   plan seed with the **stream index set to `k`**. Random access by
 //!   construction — any worker can materialize any iteration's faults in
 //!   any order and get bit-identical results.
-//! * [`IterationFaults`] / [`DeviceFault`] — the realized per-iteration,
-//!   per-device schedule consumed by `FlSystem::run_iteration_faulty`.
+//! * [`FleetFaults`] / [`DeviceFault`] — the realized per-iteration
+//!   schedule (one column per fault channel) and its per-device view,
+//!   consumed by the round kernel behind `FleetSim` and `FlSystem`.
 //! * [`DeviceStatus`] — what each device's round amounted to
 //!   (Completed / Straggled / Dropped / Failed).
 //!
@@ -235,21 +236,88 @@ impl DeviceFault {
     }
 }
 
-/// The realized fault schedule for one synchronized iteration.
+/// The realized fault schedule for one synchronized round, in
+/// struct-of-arrays form: one parallel `Vec` per fault channel, so a
+/// million-device schedule is six flat columns rather than a vector of
+/// structs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IterationFaults {
-    /// One entry per device, device order.
-    pub devices: Vec<DeviceFault>,
-    /// Server-side wait cutoff for this iteration (s), if any.
+pub struct FleetFaults {
+    /// Device skips the round entirely.
+    pub dropout: Vec<bool>,
+    /// Update is computed and uploaded but lost.
+    pub upload_fail: Vec<bool>,
+    /// Compute time/energy multiplier (1.0 = nominal).
+    pub cmp_factor: Vec<f64>,
+    /// Upload airtime multiplier (1.0 = nominal).
+    pub com_factor: Vec<f64>,
+    /// Blackout window start relative to the round start (s).
+    pub blackout_start_s: Vec<f64>,
+    /// Blackout window duration (s); `0.0` disables the window.
+    pub blackout_dur_s: Vec<f64>,
+    /// Server-side per-device timeout (s), if any.
     pub timeout_s: Option<f64>,
 }
 
-impl IterationFaults {
-    /// The benign schedule for `n` devices (no faults, no timeout).
+impl FleetFaults {
+    /// The benign schedule for `n` devices: multiplies by 1.0 and caps at
+    /// +∞, exact identities in IEEE arithmetic, so a benign round is
+    /// bit-identical to one evaluated without a fault layer.
     pub fn none(n: usize) -> Self {
-        IterationFaults {
-            devices: vec![DeviceFault::default(); n],
+        FleetFaults {
+            dropout: vec![false; n],
+            upload_fail: vec![false; n],
+            cmp_factor: vec![1.0; n],
+            com_factor: vec![1.0; n],
+            blackout_start_s: vec![0.0; n],
+            blackout_dur_s: vec![0.0; n],
             timeout_s: None,
+        }
+    }
+
+    /// Realizes iteration `k` of a [`FaultPlan`] (random access: any
+    /// iteration, any order, no per-round state).
+    pub fn realize(plan: &FaultPlan, k: u64) -> Self {
+        plan.faults_at(k)
+    }
+
+    /// Number of devices covered.
+    pub fn len(&self) -> usize {
+        self.dropout.len()
+    }
+
+    /// True when the schedule covers zero devices.
+    pub fn is_empty(&self) -> bool {
+        self.dropout.is_empty()
+    }
+
+    /// Checks that every channel covers exactly `n` devices (the columns
+    /// are public, so a deserialized schedule may be ragged).
+    pub(crate) fn check_len(&self, n: usize) -> Result<()> {
+        let lens = [
+            self.dropout.len(),
+            self.upload_fail.len(),
+            self.cmp_factor.len(),
+            self.com_factor.len(),
+            self.blackout_start_s.len(),
+            self.blackout_dur_s.len(),
+        ];
+        if lens.iter().any(|&l| l != n) {
+            return Err(SimError::InvalidArgument(format!(
+                "expected {n} device faults in every channel, got {lens:?}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Device `i`'s fault as a [`DeviceFault`] view.
+    pub fn device(&self, i: usize) -> DeviceFault {
+        DeviceFault {
+            dropout: self.dropout[i],
+            upload_fail: self.upload_fail[i],
+            cmp_factor: self.cmp_factor[i],
+            com_factor: self.com_factor[i],
+            blackout_start_s: self.blackout_start_s[i],
+            blackout_dur_s: self.blackout_dur_s[i],
         }
     }
 }
@@ -262,7 +330,7 @@ impl IterationFaults {
 /// `faults_at(k)` seeds a fresh `ChaCha8Rng` with the plan seed and sets
 /// its **stream** to `k`, so iteration schedules are independent of the
 /// order (and thread) in which they are materialized. Same seed + same
-/// model + same `k` → bit-identical [`IterationFaults`], at any worker
+/// model + same `k` → bit-identical [`FleetFaults`], at any worker
 /// count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -307,15 +375,24 @@ impl FaultPlan {
     /// Seven draws per device, unconditional, in a fixed order — so the
     /// realization of one fault channel never depends on another channel's
     /// probability. Dropout trumps the other channels.
-    pub fn faults_at(&self, k: u64) -> IterationFaults {
+    pub fn faults_at(&self, k: u64) -> FleetFaults {
         if self.model.is_none() {
-            return IterationFaults::none(self.n_devices);
+            return FleetFaults::none(self.n_devices);
         }
         let m = &self.model;
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         rng.set_stream(k);
-        let mut devices = Vec::with_capacity(self.n_devices);
-        for _ in 0..self.n_devices {
+        let n = self.n_devices;
+        let mut out = FleetFaults {
+            dropout: Vec::with_capacity(n),
+            upload_fail: Vec::with_capacity(n),
+            cmp_factor: Vec::with_capacity(n),
+            com_factor: Vec::with_capacity(n),
+            blackout_start_s: Vec::with_capacity(n),
+            blackout_dur_s: Vec::with_capacity(n),
+            timeout_s: m.timeout_s,
+        };
+        for _ in 0..n {
             let u_drop: f64 = rng.gen();
             let u_strag: f64 = rng.gen();
             let factor: f64 = rng.gen_range(m.straggler_min..=m.straggler_max);
@@ -327,19 +404,17 @@ impl FaultPlan {
             let dropout = u_drop < m.dropout_prob;
             let straggles = !dropout && u_strag < m.straggler_prob;
             let blacked_out = !dropout && u_blackout < m.blackout_prob && blackout_dur > 0.0;
-            devices.push(DeviceFault {
-                dropout,
-                upload_fail: !dropout && u_fail < m.upload_fail_prob,
-                cmp_factor: if straggles { factor } else { 1.0 },
-                com_factor: if straggles { factor } else { 1.0 },
-                blackout_start_s: if blacked_out { blackout_start } else { 0.0 },
-                blackout_dur_s: if blacked_out { blackout_dur } else { 0.0 },
-            });
+            out.dropout.push(dropout);
+            out.upload_fail
+                .push(!dropout && u_fail < m.upload_fail_prob);
+            out.cmp_factor.push(if straggles { factor } else { 1.0 });
+            out.com_factor.push(if straggles { factor } else { 1.0 });
+            out.blackout_start_s
+                .push(if blacked_out { blackout_start } else { 0.0 });
+            out.blackout_dur_s
+                .push(if blacked_out { blackout_dur } else { 0.0 });
         }
-        IterationFaults {
-            devices,
-            timeout_s: m.timeout_s,
-        }
+        out
     }
 }
 
@@ -352,8 +427,8 @@ mod tests {
     fn none_model_is_benign_and_skips_rng() {
         let plan = FaultPlan::new(FaultModel::none(), 4, 123).unwrap();
         let f = plan.faults_at(0);
-        assert_eq!(f, IterationFaults::none(4));
-        assert!(f.devices.iter().all(DeviceFault::is_benign));
+        assert_eq!(f, FleetFaults::none(4));
+        assert!((0..f.len()).all(|i| f.device(i).is_benign()));
         assert!(FaultModel::none().is_none());
         assert!(FaultModel::default().is_none());
     }
@@ -393,8 +468,8 @@ mod tests {
     #[test]
     fn faults_at_is_stateless_and_order_independent() {
         let plan = FaultPlan::new(FaultModel::chaos(0.3, 0.3, Some(50.0)), 5, 99).unwrap();
-        let forward: Vec<IterationFaults> = (0..20).map(|k| plan.faults_at(k)).collect();
-        let backward: Vec<IterationFaults> = (0..20).rev().map(|k| plan.faults_at(k)).collect();
+        let forward: Vec<FleetFaults> = (0..20).map(|k| plan.faults_at(k)).collect();
+        let backward: Vec<FleetFaults> = (0..20).rev().map(|k| plan.faults_at(k)).collect();
         for (k, f) in forward.iter().enumerate() {
             assert_eq!(*f, backward[19 - k], "iteration {k} not random-access");
             assert_eq!(*f, plan.faults_at(k as u64), "iteration {k} not stateless");
@@ -423,12 +498,11 @@ mod tests {
         };
         let plan = FaultPlan::new(model, 6, 7).unwrap();
         for k in 0..10 {
-            for d in &plan.faults_at(k).devices {
-                assert!(d.dropout);
-                assert!(!d.upload_fail);
-                assert_eq!(d.cmp_factor, 1.0);
-                assert_eq!(d.blackout_dur_s, 0.0);
-            }
+            let f = plan.faults_at(k);
+            assert!(f.dropout.iter().all(|&d| d));
+            assert!(f.upload_fail.iter().all(|&u| !u));
+            assert!(f.cmp_factor.iter().all(|&c| c == 1.0));
+            assert!(f.blackout_dur_s.iter().all(|&b| b == 0.0));
         }
     }
 
@@ -442,13 +516,13 @@ mod tests {
                 4,
                 seed,
             ).unwrap();
-            prop_assert!(never.faults_at(k).devices.iter().all(|d| !d.dropout));
+            prop_assert!(never.faults_at(k).dropout.iter().all(|&d| !d));
             let always = FaultPlan::new(
                 FaultModel { dropout_prob: 1.0, ..FaultModel::chaos(1.0, 0.5, None) },
                 4,
                 seed,
             ).unwrap();
-            prop_assert!(always.faults_at(k).devices.iter().all(|d| d.dropout));
+            prop_assert!(always.faults_at(k).dropout.iter().all(|&d| d));
         }
 
         /// Straggler factors drawn from the model always respect the
@@ -467,10 +541,11 @@ mod tests {
                 ..FaultModel::chaos(0.0, 1.0, None)
             };
             let plan = FaultPlan::new(model, 3, seed).unwrap();
-            for d in &plan.faults_at(k).devices {
-                prop_assert!(d.cmp_factor >= 1.0);
-                prop_assert!(d.cmp_factor >= lo && d.cmp_factor <= lo + span);
-                prop_assert!(d.com_factor == d.cmp_factor);
+            let f = plan.faults_at(k);
+            for (&cmp, &com) in f.cmp_factor.iter().zip(&f.com_factor) {
+                prop_assert!(cmp >= 1.0);
+                prop_assert!(cmp >= lo && cmp <= lo + span);
+                prop_assert!(com == cmp);
             }
         }
 

@@ -9,10 +9,18 @@
 //!   with [`DeviceSampler`] reproducing the paper's uniform ranges
 //!   (`D_i ~ U(50,100) MB`, `c_i ~ U(10,30) cycles/bit`,
 //!   `δ^max ~ U(1.0, 2.0) GHz`),
-//! * [`FlSystem`] — one synchronized training iteration (Eqs. 1–6):
-//!   compute time `τ c_i D_i / δ_i`, trace-integrated upload time,
-//!   `T^k = max_i T_i^k`, idle-time accounting, and the energy model
-//!   `E_i = α_i τ c_i D_i δ_i² + e_i t_com`,
+//! * [`FleetSim`] — one synchronized training round (Eqs. 1–6) over a
+//!   struct-of-arrays fleet: compute time `τ c_i D_i / δ_i`,
+//!   trace-integrated upload time, `T^k = max_i T_i^k`, idle-time
+//!   accounting, and the energy model `E_i = α_i τ c_i D_i δ_i² + e_i t_com`.
+//!   One per-device kernel evaluates the physics; it is folded either into
+//!   a sharded [`FleetRound`] summary (any `N`, up to 10⁶) or into a
+//!   per-device [`IterationReport`],
+//! * [`FlSystem`] — the per-device view used by training and the figure
+//!   harness: a thin wrapper over a [`FleetSim`] whose iterations are
+//!   per-device reports,
+//! * [`FaultPlan`] / [`FleetFaults`] — seeded, random-access fault
+//!   schedules (dropout, stragglers, blackouts, lost uploads, timeouts),
 //! * [`IterationReport`] / [`SessionLedger`] — per-iteration and cumulative
 //!   metrics (system cost `T^k + λ Σ E_i^k`, Eq. 9) consumed by the figure
 //!   harness.
@@ -64,10 +72,10 @@ pub use async_engine::{run_async, AsyncArrival, AsyncSession};
 pub use battery::{Battery, FleetBattery};
 pub use device::{DeviceSampler, MobileDevice, Range};
 pub use error::SimError;
-pub use fault::{DeviceFault, DeviceStatus, FaultModel, FaultPlan, IterationFaults};
+pub use fault::{DeviceFault, DeviceStatus, FaultModel, FaultPlan, FleetFaults};
 pub use fleet::{
-    pooled_obs_dim, pooled_observation, pooled_system_observation, quantile_summary, BatteryRound,
-    FleetFaults, FleetRound, FleetSim, FleetState,
+    pooled_obs_dim, pooled_observation, quantile_summary, BatteryRound, FleetRound, FleetSim,
+    FleetState,
 };
 pub use report::{DeviceOutcome, IterationReport, OutcomeTally, SessionLedger};
 pub use system::{FlConfig, FlSystem};

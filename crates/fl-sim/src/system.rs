@@ -1,7 +1,8 @@
 //! The synchronized-iteration engine.
 
-use crate::fault::{DeviceFault, DeviceStatus, IterationFaults};
-use crate::report::{DeviceOutcome, IterationReport};
+use crate::fault::{DeviceStatus, FleetFaults};
+use crate::fleet::{FleetSim, FleetState};
+use crate::report::IterationReport;
 use crate::{MobileDevice, Result, SimError};
 use fl_net::TraceSet;
 use serde::{Deserialize, Serialize};
@@ -54,12 +55,12 @@ impl FlConfig {
 ///
 /// `FlSystem` is deliberately *policy-free*: callers (the DRL environment,
 /// the baselines, the figure harness) pick the frequency vector and this
-/// type evaluates one iteration of the physics.
+/// type evaluates one iteration of the physics. It is a thin view over a
+/// [`FleetSim`] — every iteration is [`FleetSim::run_round_report`] — plus
+/// the per-iteration telemetry counters.
 #[derive(Debug, Clone)]
 pub struct FlSystem {
-    devices: Vec<MobileDevice>,
-    traces: TraceSet,
-    config: FlConfig,
+    fleet: FleetSim,
     obs: SimObs,
 }
 
@@ -77,29 +78,12 @@ struct SimObs {
 }
 
 impl FlSystem {
-    /// Builds a system, validating devices, trace indices, and config.
+    /// Builds a system, validating devices, trace indices, and config (see
+    /// [`FleetSim::new`]). Device `id`s must equal their index.
     pub fn new(devices: Vec<MobileDevice>, traces: TraceSet, config: FlConfig) -> Result<Self> {
-        config.validate()?;
-        if devices.is_empty() {
-            return Err(SimError::InvalidArgument(
-                "need at least one device".to_string(),
-            ));
-        }
-        for d in &devices {
-            d.validate()?;
-            if d.trace_idx >= traces.len() {
-                return Err(SimError::InvalidArgument(format!(
-                    "device {} references trace {} but only {} traces exist",
-                    d.id,
-                    d.trace_idx,
-                    traces.len()
-                )));
-            }
-        }
+        let fleet = FleetSim::new(FleetState::from_devices(&devices)?, traces, config)?;
         Ok(FlSystem {
-            devices,
-            traces,
-            config,
+            fleet,
             obs: SimObs::default(),
         })
     }
@@ -123,55 +107,65 @@ impl FlSystem {
         };
     }
 
-    /// The fleet.
-    pub fn devices(&self) -> &[MobileDevice] {
-        &self.devices
+    /// The underlying struct-of-arrays fleet.
+    pub fn fleet(&self) -> &FleetSim {
+        &self.fleet
+    }
+
+    /// The fleet as per-device structs (materialized, `O(N)`; per-step
+    /// code reads `fleet().state()` columns instead).
+    pub fn devices(&self) -> Vec<MobileDevice> {
+        let state = self.fleet.state();
+        (0..state.len()).map(|i| state.device(i)).collect()
     }
 
     /// Number of devices `N`.
     pub fn num_devices(&self) -> usize {
-        self.devices.len()
+        self.fleet.num_devices()
     }
 
     /// The trace pool.
     pub fn traces(&self) -> &TraceSet {
-        &self.traces
+        self.fleet.traces()
     }
 
     /// The trace device `i` follows. Errors (instead of panicking) when
     /// the device index is outside the fleet.
     pub fn trace_of(&self, device: usize) -> Result<&fl_net::BandwidthTrace> {
-        let d = self.devices.get(device).ok_or(SimError::DeviceOutOfRange {
-            device,
-            n_devices: self.devices.len(),
-        })?;
+        let &idx = self
+            .fleet
+            .state()
+            .trace_idx
+            .get(device)
+            .ok_or(SimError::DeviceOutOfRange {
+                device,
+                n_devices: self.num_devices(),
+            })?;
         Ok(self
-            .traces
-            .get(d.trace_idx)
+            .traces()
+            .get(idx as usize)
             .expect("trace indices validated at construction"))
     }
 
     /// Task configuration.
     pub fn config(&self) -> &FlConfig {
-        &self.config
+        self.fleet.config()
     }
 
     /// Replaces λ (used by the λ-sweep ablation without rebuilding traces).
     pub fn set_lambda(&mut self, lambda: f64) -> Result<()> {
-        let mut c = self.config;
-        c.lambda = lambda;
-        c.validate()?;
-        self.config = c;
-        Ok(())
+        self.fleet.set_lambda(lambda)
     }
 
     /// Clamps a raw action vector into the feasible region `(0, δ_i^max]`,
     /// with `min_frac · δ_max` as the floor so compute time stays finite.
     pub fn clamp_freqs(&self, raw: &[f64], min_frac: f64) -> Vec<f64> {
-        self.devices
+        self.fleet
+            .state()
+            .delta_max_ghz
             .iter()
             .zip(raw)
-            .map(|(d, &f)| f.clamp(min_frac * d.delta_max_ghz, d.delta_max_ghz))
+            .map(|(&cap, &f)| f.clamp(min_frac * cap, cap))
             .collect()
     }
 
@@ -187,30 +181,13 @@ impl FlSystem {
         // The benign schedule multiplies by 1.0 and caps at +∞ — exact
         // identities in IEEE arithmetic, so this delegation is bit-identical
         // to a dedicated fault-free loop.
-        self.run_iteration_faulty(t_start, freqs, &IterationFaults::none(self.devices.len()))
+        self.run_iteration_faulty(t_start, freqs, &FleetFaults::none(self.num_devices()))
     }
 
     /// Fault-aware variant of [`FlSystem::run_iteration`]: evaluates the
-    /// same physics under a realized per-device fault schedule.
-    ///
-    /// Semantics (see DESIGN.md "Fault model & determinism contract"):
-    ///
-    /// * **Dropout** — the device skips the round: zero time, zero energy,
-    ///   excluded from `T^k`, status `Dropped`.
-    /// * **Straggler** — `cmp_factor` multiplies compute time *and* compute
-    ///   energy (the work is re-run, e.g. thermal throttling + retries);
-    ///   `com_factor` multiplies the active upload airtime and hence radio
-    ///   energy. Status `Straggled` when the update still arrives.
-    /// * **Blackout** — the window `[blackout_start_s, +dur)` (relative to
-    ///   `t_start`) halts transmission: wall-clock upload time stretches,
-    ///   but the radio is idle during the pause so `comm_energy` covers
-    ///   airtime only. The post-pause remainder is *not* re-integrated
-    ///   against the shifted trace (documented approximation).
-    /// * **Upload failure** — full time and energy are spent but the
-    ///   update is lost: status `Failed`.
-    /// * **Timeout** — the server waits at most `timeout_s` per device;
-    ///   `T^k` counts `min(T_i^k, timeout)` and later finishers are
-    ///   `Failed` (they still burn their full energy locally).
+    /// same physics under a realized per-device fault schedule (dropout,
+    /// straggler, blackout, upload failure, timeout — see DESIGN.md "Fault
+    /// model & determinism contract").
     ///
     /// `T^k` is the max of the capped waiting times over *non-dropped*
     /// devices; when every device drops, the round is a no-op with
@@ -219,109 +196,12 @@ impl FlSystem {
         &self,
         t_start: f64,
         freqs: &[f64],
-        faults: &IterationFaults,
+        faults: &FleetFaults,
     ) -> Result<IterationReport> {
-        if freqs.len() != self.devices.len() {
-            return Err(SimError::InvalidArgument(format!(
-                "expected {} frequencies, got {}",
-                self.devices.len(),
-                freqs.len()
-            )));
-        }
-        if faults.devices.len() != self.devices.len() {
-            return Err(SimError::InvalidArgument(format!(
-                "expected {} device faults, got {}",
-                self.devices.len(),
-                faults.devices.len()
-            )));
-        }
-        if !(t_start.is_finite()) || t_start < 0.0 {
-            return Err(SimError::InvalidArgument(format!(
-                "t_start must be finite and non-negative, got {t_start}"
-            )));
-        }
-        if let Some(t) = faults.timeout_s {
-            if !(t > 0.0) || !t.is_finite() {
-                return Err(SimError::InvalidArgument(format!(
-                    "timeout_s must be positive and finite, got {t}"
-                )));
-            }
-        }
-        let timeout = faults.timeout_s.unwrap_or(f64::INFINITY);
-        let n = self.devices.len();
-        let mut outcomes = Vec::with_capacity(n);
-        // How long the server actually waited on each device (capped).
-        let mut waited = Vec::with_capacity(n);
-        let mut t_max: f64 = 0.0;
-        for ((d, &freq), fault) in self.devices.iter().zip(freqs).zip(&faults.devices) {
-            if !(freq > 0.0) || freq > d.delta_max_ghz + 1e-12 || !freq.is_finite() {
-                return Err(SimError::FrequencyOutOfRange {
-                    device: d.id,
-                    freq,
-                    max: d.delta_max_ghz,
-                });
-            }
-            if fault.dropout {
-                outcomes.push(DeviceOutcome {
-                    freq_ghz: freq,
-                    compute_time: 0.0,
-                    comm_time: 0.0,
-                    idle_time: 0.0,
-                    compute_energy: 0.0,
-                    comm_energy: 0.0,
-                    avg_bandwidth: 0.0,
-                    status: DeviceStatus::Dropped,
-                });
-                waited.push(0.0);
-                continue;
-            }
-            let compute_time = d.compute_time(self.config.tau, freq) * fault.cmp_factor;
-            let upload_start = t_start + compute_time;
-            let trace = self
-                .traces
-                .get(d.trace_idx)
-                .expect("validated at construction");
-            // Airtime: seconds the radio actually transmits (Eq. 3
-            // integration, inflated by the straggler factor).
-            let airtime =
-                trace.transfer_time(upload_start, self.config.model_size_mb)? * fault.com_factor;
-            let comm_time = blackout_wall_time(t_start, upload_start, airtime, fault);
-            let avg_bandwidth = if airtime > 0.0 {
-                self.config.model_size_mb / airtime
-            } else {
-                trace.bandwidth_at(upload_start)?
-            };
-            let total = compute_time + comm_time;
-            let capped = total.min(timeout);
-            t_max = t_max.max(capped);
-            let lost = fault.upload_fail || total > timeout;
-            let slowed = fault.cmp_factor > 1.0 || fault.com_factor > 1.0 || comm_time > airtime;
-            outcomes.push(DeviceOutcome {
-                freq_ghz: freq,
-                compute_time,
-                comm_time,
-                idle_time: 0.0, // filled in below once T^k is known
-                compute_energy: d.compute_energy(self.config.tau, freq) * fault.cmp_factor,
-                comm_energy: d.comm_energy(airtime),
-                avg_bandwidth,
-                status: if lost {
-                    DeviceStatus::Failed
-                } else if slowed {
-                    DeviceStatus::Straggled
-                } else {
-                    DeviceStatus::Completed
-                },
-            });
-            waited.push(capped);
-        }
-        for (o, &w) in outcomes.iter_mut().zip(&waited) {
-            if o.status != DeviceStatus::Dropped {
-                o.idle_time = t_max - w;
-            }
-        }
+        let report = self.fleet.run_round_report(t_start, freqs, faults)?;
         self.obs.iterations.inc();
-        self.obs.duration_s.observe(t_max);
-        for o in &outcomes {
+        self.obs.duration_s.observe(report.duration);
+        for o in &report.devices {
             match o.status {
                 DeviceStatus::Completed => self.obs.completed.inc(),
                 DeviceStatus::Straggled => self.obs.straggled.inc(),
@@ -329,57 +209,19 @@ impl FlSystem {
                 DeviceStatus::Failed => self.obs.failed.inc(),
             }
         }
-        Ok(IterationReport {
-            start_time: t_start,
-            duration: t_max,
-            devices: outcomes,
-        })
+        Ok(report)
     }
 
-    /// Builds the DRL state for iteration start time `t`: for every device,
-    /// the `history_len + 1` most recent `h`-second slot-average bandwidths
-    /// (newest first), concatenated device-major — exactly the
-    /// `s_k = (B_1^k, ..., B_N^k)` of Section IV-B1.
+    /// Builds the DRL state for iteration start time `t` (see
+    /// [`FleetSim::observe_bandwidth_state`]).
     pub fn observe_bandwidth_state(
         &self,
         t: f64,
         slot_h: f64,
         history_len: usize,
     ) -> Result<Vec<f64>> {
-        let mut state = Vec::with_capacity(self.devices.len() * (history_len + 1));
-        for d in &self.devices {
-            let trace = self
-                .traces
-                .get(d.trace_idx)
-                .expect("validated at construction");
-            state.extend(trace.history(t, slot_h, history_len)?);
-        }
-        Ok(state)
+        self.fleet.observe_bandwidth_state(t, slot_h, history_len)
     }
-}
-
-/// Wall-clock upload duration after applying a blackout pause.
-///
-/// The device needs `airtime` seconds of link time starting at
-/// `upload_start`; the window `[t_start + blackout_start_s, +dur)` halts
-/// transmission. The pause adds dead time only — the post-pause remainder
-/// is not re-integrated against the time-shifted trace.
-pub(crate) fn blackout_wall_time(
-    t_start: f64,
-    upload_start: f64,
-    airtime: f64,
-    fault: &DeviceFault,
-) -> f64 {
-    if fault.blackout_dur_s <= 0.0 {
-        return airtime;
-    }
-    let b0 = t_start + fault.blackout_start_s;
-    let b1 = b0 + fault.blackout_dur_s;
-    if b1 <= upload_start || b0 >= upload_start + airtime {
-        return airtime; // window misses the active upload entirely
-    }
-    let before = (b0 - upload_start).max(0.0);
-    (b1 - upload_start) + (airtime - before)
 }
 
 #[cfg(test)]
@@ -552,7 +394,7 @@ mod tests {
         let sys = system();
         let clean = sys.run_iteration(3.0, &[1.7, 1.2]).unwrap();
         let faulty = sys
-            .run_iteration_faulty(3.0, &[1.7, 1.2], &IterationFaults::none(2))
+            .run_iteration_faulty(3.0, &[1.7, 1.2], &FleetFaults::none(2))
             .unwrap();
         assert_eq!(clean, faulty);
         assert!(clean
@@ -566,8 +408,8 @@ mod tests {
         // Device 0 is the straggler (T_0 = 10 s); dropping it hands the
         // round to device 1 (T_1 = 7 s) and zeroes device 0 entirely.
         let sys = system();
-        let mut faults = IterationFaults::none(2);
-        faults.devices[0].dropout = true;
+        let mut faults = FleetFaults::none(2);
+        faults.dropout[0] = true;
         let r = sys.run_iteration_faulty(0.0, &[2.0, 2.0], &faults).unwrap();
         assert!((r.duration - 7.0).abs() < 1e-9);
         assert_eq!(r.devices[0].status, DeviceStatus::Dropped);
@@ -577,7 +419,7 @@ mod tests {
         assert_eq!(r.devices[1].status, DeviceStatus::Completed);
         assert_eq!(r.survivors(), 1);
         // All dropped → no-op round.
-        faults.devices[1].dropout = true;
+        faults.dropout[1] = true;
         let r = sys.run_iteration_faulty(0.0, &[2.0, 2.0], &faults).unwrap();
         assert_eq!(r.duration, 0.0);
         assert_eq!(r.survivors(), 0);
@@ -589,9 +431,9 @@ mod tests {
         // Device 1 at factor 2: compute 5 → 10 s (energy 4 → 8 J), upload
         // airtime 2 → 4 s (energy 0.4 → 0.8 J). Total 14 s sets T^k.
         let sys = system();
-        let mut faults = IterationFaults::none(2);
-        faults.devices[1].cmp_factor = 2.0;
-        faults.devices[1].com_factor = 2.0;
+        let mut faults = FleetFaults::none(2);
+        faults.cmp_factor[1] = 2.0;
+        faults.com_factor[1] = 2.0;
         let r = sys.run_iteration_faulty(0.0, &[2.0, 2.0], &faults).unwrap();
         assert!((r.duration - 14.0).abs() < 1e-9);
         assert_eq!(r.devices[1].status, DeviceStatus::Straggled);
@@ -607,8 +449,8 @@ mod tests {
     fn upload_failure_burns_energy_but_loses_update() {
         let sys = system();
         let clean = sys.run_iteration(0.0, &[2.0, 2.0]).unwrap();
-        let mut faults = IterationFaults::none(2);
-        faults.devices[1].upload_fail = true;
+        let mut faults = FleetFaults::none(2);
+        faults.upload_fail[1] = true;
         let r = sys.run_iteration_faulty(0.0, &[2.0, 2.0], &faults).unwrap();
         assert_eq!(r.devices[1].status, DeviceStatus::Failed);
         // Identical physics — only the survival flag changes.
@@ -623,17 +465,17 @@ mod tests {
         // Blackout [6, 9): 1 s transmitted, 3 s pause, 1 s remainder →
         // wall comm time 5 s, airtime (and radio energy) unchanged.
         let sys = system();
-        let mut faults = IterationFaults::none(2);
-        faults.devices[1].blackout_start_s = 6.0;
-        faults.devices[1].blackout_dur_s = 3.0;
+        let mut faults = FleetFaults::none(2);
+        faults.blackout_start_s[1] = 6.0;
+        faults.blackout_dur_s[1] = 3.0;
         let r = sys.run_iteration_faulty(0.0, &[2.0, 2.0], &faults).unwrap();
         assert!((r.devices[1].comm_time - 5.0).abs() < 1e-9);
         assert!((r.devices[1].comm_energy - 0.4).abs() < 1e-9);
         assert_eq!(r.devices[1].status, DeviceStatus::Straggled);
         // A window that misses the upload changes nothing.
-        let mut miss = IterationFaults::none(2);
-        miss.devices[1].blackout_start_s = 0.0;
-        miss.devices[1].blackout_dur_s = 2.0;
+        let mut miss = FleetFaults::none(2);
+        miss.blackout_start_s[1] = 0.0;
+        miss.blackout_dur_s[1] = 2.0;
         let r = sys.run_iteration_faulty(0.0, &[2.0, 2.0], &miss).unwrap();
         assert_eq!(r.devices[1].status, DeviceStatus::Completed);
         assert!((r.devices[1].comm_time - 2.0).abs() < 1e-9);
@@ -644,7 +486,7 @@ mod tests {
         // T_0 = 10 s, T_1 = 7 s; timeout 8 s → device 0 misses the cutoff
         // (full energy spent, update lost), T^k = 8.
         let sys = system();
-        let mut faults = IterationFaults::none(2);
+        let mut faults = FleetFaults::none(2);
         faults.timeout_s = Some(8.0);
         let r = sys.run_iteration_faulty(0.0, &[2.0, 2.0], &faults).unwrap();
         assert!((r.duration - 8.0).abs() < 1e-9);
@@ -661,15 +503,15 @@ mod tests {
         let sys = system();
         // Wrong fault arity.
         assert!(sys
-            .run_iteration_faulty(0.0, &[2.0, 2.0], &IterationFaults::none(3))
+            .run_iteration_faulty(0.0, &[2.0, 2.0], &FleetFaults::none(3))
             .is_err());
         // Bad timeout.
-        let mut faults = IterationFaults::none(2);
+        let mut faults = FleetFaults::none(2);
         faults.timeout_s = Some(-1.0);
         assert!(sys.run_iteration_faulty(0.0, &[2.0, 2.0], &faults).is_err());
         // Frequency bounds still enforced, even for dropped devices.
-        let mut faults = IterationFaults::none(2);
-        faults.devices[0].dropout = true;
+        let mut faults = FleetFaults::none(2);
+        faults.dropout[0] = true;
         assert!(sys.run_iteration_faulty(0.0, &[9.0, 2.0], &faults).is_err());
     }
 
@@ -734,9 +576,9 @@ mod tests {
         ) {
             let sys = system();
             let base = sys.run_iteration(0.0, &[f0, f1]).unwrap();
-            let mut faults = IterationFaults::none(2);
-            faults.devices[which].cmp_factor = factor;
-            faults.devices[which].com_factor = factor;
+            let mut faults = FleetFaults::none(2);
+            faults.cmp_factor[which] = factor;
+            faults.com_factor[which] = factor;
             let slowed = sys.run_iteration_faulty(0.0, &[f0, f1], &faults).unwrap();
             prop_assert!(slowed.duration >= base.duration - 1e-9);
         }
@@ -752,7 +594,7 @@ mod tests {
         ) {
             let sys = system();
             let full = sys.run_iteration(0.0, &[f0, f1]).unwrap();
-            let mut faults = IterationFaults::none(2);
+            let mut faults = FleetFaults::none(2);
             faults.timeout_s = Some(timeout);
             let cut = sys.run_iteration_faulty(0.0, &[f0, f1], &faults).unwrap();
             prop_assert!(cut.duration <= timeout + 1e-12);

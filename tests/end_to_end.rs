@@ -196,7 +196,7 @@ fn oracle_agrees_with_solver_on_flat_traces() {
         lambda: sys.config().lambda,
         min_freq_frac: 0.1,
     };
-    let plan = optimize_frequencies(sys.devices(), &params, &bws).expect("solver");
+    let plan = optimize_frequencies(&sys.devices(), &params, &bws).expect("solver");
 
     let mut oracle = OracleController::default();
     let oracle_freqs = oracle.decide(0, 100.0, &sys, None).expect("oracle");
@@ -209,7 +209,7 @@ fn oracle_agrees_with_solver_on_flat_traces() {
         .run_iteration(100.0, &plan.freqs)
         .expect("solver iteration")
         .cost(sys.config().lambda);
-    let model = model_cost(sys.devices(), &params, &bws, &plan.freqs).expect("model");
+    let model = model_cost(&sys.devices(), &params, &bws, &plan.freqs).expect("model");
     assert!(
         (solver_sim_cost - model).abs() < 1e-6,
         "model {model} vs simulated {solver_sim_cost}"

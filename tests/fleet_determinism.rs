@@ -4,9 +4,9 @@
 //! change a single observable bit — round physics, cost series, decided
 //! frequencies, or training results. Plus the scale-invariance story: one
 //! quantile-pooled broadcast policy trained at small `N` decides for any
-//! fleet size, and the fleet decision path (`decide_fleet`, chunked
-//! inference, struct-of-arrays statics) is bit-identical to the
-//! `FlSystem` path on the same devices.
+//! fleet size, and the fleet decision path (`decide_fleet`, fed a
+//! `FleetRound`) decides exactly as the `FlSystem` path (`decide`, fed an
+//! `IterationReport`) on the same devices.
 
 use fl_ctrl::{
     build_system, train_drl, train_drl_parallel, train_drl_parallel_opt, CheckpointOptions,
@@ -17,7 +17,7 @@ use fl_net::synth::Profile;
 use fl_rl::PpoConfig;
 use fl_sim::{
     pooled_obs_dim, pooled_observation, FaultModel, FaultPlan, FlConfig, FlSystem, FleetFaults,
-    FleetRound, FleetSim, IterationReport,
+    FleetRound, IterationReport,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -74,7 +74,7 @@ fn run_rounds(
     plan: Option<&FaultPlan>,
     rounds: u64,
 ) -> Vec<FleetRound> {
-    let mut fleet = FleetSim::from_system(sys).unwrap();
+    let mut fleet = sys.fleet().clone();
     fleet.set_shards(shards);
     fleet.set_workers(Some(workers));
     let freqs = fleet.max_freqs();
@@ -179,63 +179,48 @@ fn pooled_observation_is_permutation_invariant_and_n_independent() {
     }
 }
 
-/// The overlap regime: a pooled broadcast controller trained at N=8
-/// drives the `FlSystem` reference path and the sharded fleet path
-/// through six faulty rounds — decided frequencies, durations, energies,
-/// survival feedback, and the running clock all agree bit-for-bit. Then
-/// the same controller rebinds to a 200-device fleet and the two rebind
-/// routes (`with_fleet` via `FlSystem`, `with_fleet_sim` via the
-/// struct-of-arrays state) still decide identically.
+/// Scale invariance: a pooled broadcast controller trained at N=8 rebinds
+/// to a 200-device fleet (`with_fleet_sim`, straight from the
+/// struct-of-arrays statics). Driven through `FlSystem` (`decide`, fed an
+/// `IterationReport`) and through the fleet (`decide_fleet`, fed a
+/// `FleetRound`) it decides identically, before and after a faulty round,
+/// so the report's survivor count and the round's survival fraction feed
+/// the policy the same tail. The 8-device binding refuses the big fleet.
 #[test]
 fn fleet_decision_path_matches_system_overlap_and_rebinds() {
     let sys = system(8, 21);
     let mut rng = ChaCha8Rng::seed_from_u64(42);
-    let out = train_drl(&sys, &pooled_config(6), &mut rng).unwrap();
-    let ctrl = out.controller;
+    let ctrl = train_drl(&sys, &pooled_config(6), &mut rng)
+        .unwrap()
+        .controller;
 
-    let mut fleet = FleetSim::from_system(&sys).unwrap();
-    fleet.set_shards(3);
-    let plan = FaultPlan::new(FaultModel::chaos(0.2, 0.2, Some(120.0)), 8, 9).unwrap();
-    let mut ctrl_sys = ctrl.clone();
-    let mut t = 10.0;
+    let big_sys = system(200, 33);
+    let mut big_fleet = big_sys.fleet().clone();
+    big_fleet.set_shards(3);
+    let mut via_sys = ctrl.with_fleet_sim(big_sys.fleet()).unwrap();
+    let via_fleet = ctrl.with_fleet_sim(&big_fleet).unwrap();
+    let plan = FaultPlan::new(FaultModel::chaos(0.2, 0.2, Some(120.0)), 200, 9).unwrap();
+    let mut t = 60.0;
     let mut prev_report: Option<IterationReport> = None;
     let mut prev_round: Option<FleetRound> = None;
-    for k in 0..6 {
-        let f_sys = ctrl_sys
-            .decide(k as usize, t, &sys, prev_report.as_ref())
+    for k in 0..2 {
+        let f_a = via_sys
+            .decide(k as usize, t, &big_sys, prev_report.as_ref())
             .unwrap();
-        let f_fleet = ctrl.decide_fleet(t, &fleet, prev_round.as_ref()).unwrap();
-        assert_eq!(f_sys.len(), f_fleet.len());
-        for (a, b) in f_sys.iter().zip(&f_fleet) {
-            assert_eq!(a.to_bits(), b.to_bits(), "round {k}: decisions diverged");
+        let f_b = via_fleet
+            .decide_fleet(t, &big_fleet, prev_round.as_ref())
+            .unwrap();
+        assert_eq!(f_a.len(), 200);
+        for (x, y) in f_a.iter().zip(&f_b) {
+            assert_eq!(x.to_bits(), y.to_bits(), "round {k}: decisions diverged");
         }
         let faults = plan.faults_at(k);
-        let report = sys.run_iteration_faulty(t, &f_sys, &faults).unwrap();
-        let round = fleet
-            .run_round(t, &f_fleet, &FleetFaults::from_faults(&faults))
-            .unwrap();
-        assert_eq!(round.duration.to_bits(), report.duration.to_bits());
-        assert_eq!(
-            round.total_energy.to_bits(),
-            report.total_energy().to_bits()
-        );
-        assert_eq!(round.tally, report.outcome_tally());
+        let report = big_sys.run_iteration_faulty(t, &f_a, &faults).unwrap();
+        let round = big_fleet.run_round(t, &f_b, &faults).unwrap();
+        assert!(report.survivors() < 200);
         t = round.end_time();
         prev_report = Some(report);
         prev_round = Some(round);
-    }
-
-    // Scale invariance: same trained weights, 25x the fleet.
-    let big_sys = system(200, 33);
-    let big_fleet = FleetSim::from_system(&big_sys).unwrap();
-    let via_sys = ctrl.with_fleet(&big_sys).unwrap();
-    let via_fleet = ctrl.with_fleet_sim(&big_fleet).unwrap();
-    let mut a = via_sys.clone();
-    let f_a = a.decide(0, 60.0, &big_sys, None).unwrap();
-    let f_b = via_fleet.decide_fleet(60.0, &big_fleet, None).unwrap();
-    assert_eq!(f_a.len(), 200);
-    for (x, y) in f_a.iter().zip(&f_b) {
-        assert_eq!(x.to_bits(), y.to_bits());
     }
     // The original 8-device binding must refuse the big fleet outright.
     assert!(ctrl.decide_fleet(60.0, &big_fleet, None).is_err());
