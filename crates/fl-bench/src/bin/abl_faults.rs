@@ -28,7 +28,7 @@ use fl_bench::args::ParsedArgs;
 use fl_bench::{dump_json_obs, obs_recorder, workers_from_env_obs, Scenario};
 use fl_ctrl::{
     compare_controllers_faulty, CheckpointOptions, FrequencyController, HeuristicController,
-    RunOptions, StaticController,
+    ParallelConfig, RunOptions, StaticController,
 };
 use fl_sim::{FaultModel, FaultPlan, OutcomeTally};
 use rand::SeedableRng;
@@ -97,7 +97,11 @@ fn main() {
         }
         (out.controller, false)
     } else {
-        let (drl, cached) = scenario.train_cached(&sys, episodes);
+        let (drl, cached, _) = scenario.train_cached(
+            &sys,
+            &scenario.train_config(episodes),
+            &ParallelConfig::SERIAL,
+        );
         (drl, cached)
     };
     println!(

@@ -11,7 +11,8 @@
 
 use fl_bench::{dump_json, Scenario};
 use fl_ctrl::{
-    FrequencyController, HeuristicController, MaxFreqController, OracleController, StaticController,
+    FrequencyController, HeuristicController, MaxFreqController, OracleController, ParallelConfig,
+    StaticController,
 };
 use fl_sim::FleetBattery;
 use rand::SeedableRng;
@@ -24,7 +25,11 @@ fn main() {
 
     let scenario = Scenario::testbed();
     let sys = scenario.build();
-    let (drl, cached) = scenario.train_cached(&sys, episodes);
+    let (drl, cached, _) = scenario.train_cached(
+        &sys,
+        &scenario.train_config(episodes),
+        &ParallelConfig::SERIAL,
+    );
     println!("DRL controller ready (cache hit: {cached})");
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xBA7);
     let stat = StaticController::new(&sys, 1000, 0.1, &mut rng).expect("static");

@@ -12,7 +12,7 @@
 use fl_bench::{dump_json, print_relative, print_summary_table, Scenario};
 use fl_ctrl::{
     compare_controllers, FrequencyController, HeuristicController, MaxFreqController,
-    OracleController, StaticController,
+    OracleController, ParallelConfig, StaticController,
 };
 use fl_net::synth::Profile;
 use rand::SeedableRng;
@@ -33,7 +33,11 @@ fn main() {
         sys.config().lambda
     );
 
-    let (drl, cached) = scenario.train_cached(&sys, episodes);
+    let (drl, cached, _) = scenario.train_cached(
+        &sys,
+        &scenario.train_config(episodes),
+        &ParallelConfig::SERIAL,
+    );
     println!("DRL controller ready (cache hit: {cached})");
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0x0A7);
     let stat = StaticController::new(&sys, 1000, 0.1, &mut rng).expect("static");

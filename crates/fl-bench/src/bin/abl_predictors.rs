@@ -12,7 +12,7 @@
 use fl_bench::{dump_json, print_relative, print_summary_table, Scenario};
 use fl_ctrl::{
     compare_controllers, FrequencyController, HeuristicController, OracleController,
-    PredictiveController, StaticController,
+    ParallelConfig, PredictiveController, StaticController,
 };
 use fl_net::predict::{self, Predictor};
 use rand::SeedableRng;
@@ -44,7 +44,11 @@ fn main() {
     }
 
     // Controllers: each predictor through the solver, plus references.
-    let (drl, cached) = scenario.train_cached(&sys, episodes);
+    let (drl, cached, _) = scenario.train_cached(
+        &sys,
+        &scenario.train_config(episodes),
+        &ParallelConfig::SERIAL,
+    );
     println!("\nDRL controller ready (cache hit: {cached})");
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xEA1);
     let stat = StaticController::new(&sys, 1000, 0.1, &mut rng).expect("static");

@@ -11,7 +11,8 @@
 
 use fl_bench::{dump_json, Scenario};
 use fl_ctrl::{
-    FrequencyController, HeuristicController, MaxFreqController, OracleController, StaticController,
+    FrequencyController, HeuristicController, MaxFreqController, OracleController, ParallelConfig,
+    StaticController,
 };
 use fl_learn::{data, FedAvg, FedAvgConfig, LocalTrainer};
 use rand::SeedableRng;
@@ -31,7 +32,11 @@ fn main() {
     let dataset = data::gaussian_blobs(600, 2, 3.5, &mut data_rng).expect("dataset");
     let shards = data::split_non_iid(&dataset, n, 0.8, &mut data_rng).expect("shards");
 
-    let (drl, cached) = scenario.train_cached(&sys, episodes);
+    let (drl, cached, _) = scenario.train_cached(
+        &sys,
+        &scenario.train_config(episodes),
+        &ParallelConfig::SERIAL,
+    );
     println!("DRL controller ready (cache hit: {cached}); target F(w) < {epsilon}\n");
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0x7E5);
     let stat = StaticController::new(&sys, 1000, 0.1, &mut rng).expect("static");

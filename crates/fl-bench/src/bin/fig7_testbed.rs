@@ -14,7 +14,7 @@
 use fl_bench::{dump_json, print_cdf, print_relative, print_summary_table, Scenario};
 use fl_ctrl::{
     compare_controllers, FrequencyController, HeuristicController, MaxFreqController,
-    OracleController, StaticController,
+    OracleController, ParallelConfig, StaticController,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -34,7 +34,11 @@ fn main() {
     );
 
     let t0 = std::time::Instant::now();
-    let (drl, cached) = scenario.train_cached(&sys, episodes);
+    let (drl, cached, _) = scenario.train_cached(
+        &sys,
+        &scenario.train_config(episodes),
+        &ParallelConfig::SERIAL,
+    );
     println!(
         "DRL controller ready in {:.1?} (cache hit: {cached})",
         t0.elapsed()

@@ -68,7 +68,7 @@ fn run_grid(episodes: usize) {
     let sys = scenario.build();
     let config = scenario.train_config_pooled(episodes);
     let t0 = std::time::Instant::now();
-    let (ctrl, cached) = scenario.train_cached_cfg(&sys, &config);
+    let (ctrl, cached, _) = scenario.train_cached(&sys, &config, &ParallelConfig::SERIAL);
     println!(
         "timing: controller ready in {:.1?} (cache hit: {cached}, shards={shards}, workers={})",
         t0.elapsed(),
@@ -171,7 +171,7 @@ fn main() {
             .expect("training configuration is valid");
         (out.output.controller, false, Some(out.rounds))
     } else {
-        scenario.train_cached_parallel(&sys, episodes, &par)
+        scenario.train_cached(&sys, &scenario.train_config(episodes), &par)
     };
     println!(
         "DRL controller ready in {:.1?} (cache hit: {cached}, n_envs={}, workers={})",

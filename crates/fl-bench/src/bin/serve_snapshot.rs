@@ -10,7 +10,7 @@
 
 use fl_bench::args::ParsedArgs;
 use fl_bench::Scenario;
-use fl_ctrl::ControllerSnapshot;
+use fl_ctrl::{ControllerSnapshot, ParallelConfig};
 use fl_rl::snapshot::CheckpointStore;
 
 fn main() {
@@ -23,7 +23,11 @@ fn main() {
 
     let scenario = Scenario::testbed();
     let sys = scenario.build();
-    let (ctrl, cached) = scenario.train_cached(&sys, episodes);
+    let (ctrl, cached, _) = scenario.train_cached(
+        &sys,
+        &scenario.train_config(episodes),
+        &ParallelConfig::SERIAL,
+    );
     if cached {
         println!("serve_snapshot: reusing cached controller ({episodes} episodes)");
     } else {

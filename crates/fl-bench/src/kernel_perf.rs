@@ -158,11 +158,11 @@ pub fn ops() -> Vec<KernelOp> {
         });
     }
     // Batched rollout forward: the blocked slot runs ONE `32 x obs` policy
-    // mean + value forward (what `RolloutMode::Batched` does per step for a
-    // 32-env fleet), the naive slot the same work as 32 single-row forwards
-    // (the per-env schedule). Row bits are identical either way; the
-    // speedup is the per-call overhead amortization the batched rollout
-    // buys. Kernel family is pinned to Blocked in both slots.
+    // mean + value forward (what the rollout engine does per step for a
+    // 32-env fleet), the naive slot the same work as 32 single-row
+    // forwards. Row bits are identical either way; the speedup is the
+    // per-call overhead amortization the batched rollout buys. Kernel
+    // family is pinned to Blocked in both slots.
     {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let policy = GaussianPolicy::new(18, &[64, 64], 4, -0.5, &mut rng).unwrap();

@@ -24,9 +24,8 @@ pub mod kernel_perf;
 pub mod serve_perf;
 
 use fl_ctrl::{
-    train_drl, train_drl_opt, train_drl_parallel, train_drl_parallel_opt, ControllerRun,
-    DrlController, EnvConfig, ObsMode, ParallelConfig, ParallelTrainOutput, PolicyArch, RunOptions,
-    TrainConfig, TrainOutput,
+    train_drl_parallel, train_drl_parallel_opt, ControllerRun, DrlController, EnvConfig, ObsMode,
+    ParallelConfig, ParallelTrainOutput, PolicyArch, RunOptions, TrainConfig, TrainOutput,
 };
 use fl_net::stats::EmpiricalCdf;
 use fl_net::synth::Profile;
@@ -208,11 +207,10 @@ impl Scenario {
         config
     }
 
-    /// Trains the DRL controller for this scenario (deterministic given the
-    /// scenario seed).
+    /// Trains the DRL controller for this scenario with one environment
+    /// (deterministic given the scenario seed).
     pub fn train(&self, sys: &FlSystem, episodes: usize) -> TrainOutput {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xD51);
-        train_drl(sys, &self.train_config(episodes), &mut rng)
+        self.train_with(sys, episodes, &RunOptions::default())
             .expect("training configuration is valid")
     }
 
@@ -225,12 +223,12 @@ impl Scenario {
         episodes: usize,
         opts: &RunOptions,
     ) -> fl_ctrl::Result<TrainOutput> {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xD51);
-        train_drl_opt(sys, &self.train_config(episodes), &mut rng, opts)
+        self.train_parallel_with(sys, episodes, &ParallelConfig::SERIAL, opts)
+            .map(|out| out.output)
     }
 
-    /// Trains with the vectorized parallel rollout engine. Deterministic
-    /// given the scenario seed and `par.n_envs`; `par.workers` only moves
+    /// Trains with `par.n_envs` rollout environments. Deterministic given
+    /// the scenario seed and `par.n_envs`; `par.workers` only moves
     /// wall-clock time.
     pub fn train_parallel(
         &self,
@@ -238,8 +236,7 @@ impl Scenario {
         episodes: usize,
         par: &ParallelConfig,
     ) -> ParallelTrainOutput {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xD51);
-        train_drl_parallel(sys, &self.train_config(episodes), par, &mut rng)
+        self.train_parallel_with(sys, episodes, par, &RunOptions::default())
             .expect("training configuration is valid")
     }
 
@@ -257,73 +254,45 @@ impl Scenario {
         train_drl_parallel_opt(sys, &self.train_config(episodes), par, &mut rng, opts)
     }
 
-    /// Loads a cached trained controller from `target/` or trains and
+    /// Loads a cached trained controller from the temp dir or trains and
     /// caches one. Binaries share training runs this way (fig6 and fig7 use
-    /// the same agent, like the paper).
-    pub fn train_cached(&self, sys: &FlSystem, episodes: usize) -> (DrlController, bool) {
-        self.train_cached_cfg(sys, &self.train_config(episodes))
-    }
-
-    /// [`Scenario::train_cached`] for an explicit training configuration.
-    /// The cache filename embeds a CRC-32 of the canonically encoded
-    /// config, so any logical change — observation mode, actor
-    /// architecture, fault plan, a PPO hyperparameter — lands in a
-    /// different cache file and a controller trained under a different
-    /// configuration can never be silently reused.
-    pub fn train_cached_cfg(&self, sys: &FlSystem, config: &TrainConfig) -> (DrlController, bool) {
-        let path = std::env::temp_dir().join(format!(
-            "fedfreq-{}-{}ep-seed{}-cfg{:08x}.json",
-            self.name,
-            config.episodes,
-            self.seed,
-            config_digest(config)
-        ));
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Ok(ctrl) = DrlController::from_json(&text) {
-                return (ctrl, true);
-            }
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xD51);
-        let out = train_drl(sys, config, &mut rng).expect("training configuration is valid");
-        if let Ok(json) = out.controller.to_json() {
-            // Atomic write: a concurrent binary reading the cache sees
-            // either the old controller or the new one, never a torn file.
-            let _ = fl_rl::snapshot::atomic_write(&path, json.as_bytes());
-        }
-        (out.controller, false)
-    }
-
-    /// Parallel-training variant of [`Scenario::train_cached`]. The cache
-    /// key includes `n_envs` (a logical parameter) and the config digest,
-    /// but not `workers` (physical, result-invariant). Returns the
-    /// controller, whether the cache hit, and — on a fresh run — the
-    /// per-round worker telemetry.
-    pub fn train_cached_parallel(
+    /// the same agent, like the paper). The cache filename embeds `n_envs`
+    /// (a logical parameter, unlike `workers`) and a CRC-32 of the
+    /// canonically encoded config, so any logical change — environment
+    /// count, observation mode, actor architecture, fault plan, a PPO
+    /// hyperparameter — lands in a different cache file and a controller
+    /// trained under another configuration is never silently reused.
+    /// Returns the controller, whether the cache hit, and — on a fresh run
+    /// — the per-round worker telemetry.
+    pub fn train_cached(
         &self,
         sys: &FlSystem,
-        episodes: usize,
+        config: &TrainConfig,
         par: &ParallelConfig,
     ) -> (
         DrlController,
         bool,
         Option<Vec<Vec<fl_rl::pool::WorkerStats>>>,
     ) {
-        let config = self.train_config(episodes);
         let path = std::env::temp_dir().join(format!(
             "fedfreq-{}-{}ep-seed{}-vec{}-cfg{:08x}.json",
             self.name,
-            episodes,
+            config.episodes,
             self.seed,
             par.n_envs,
-            config_digest(&config)
+            config_digest(config)
         ));
         if let Ok(text) = std::fs::read_to_string(&path) {
             if let Ok(ctrl) = DrlController::from_json(&text) {
                 return (ctrl, true, None);
             }
         }
-        let out = self.train_parallel(sys, episodes, par);
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xD51);
+        let out = train_drl_parallel(sys, config, par, &mut rng)
+            .expect("training configuration is valid");
         if let Ok(json) = out.output.controller.to_json() {
+            // Atomic write: a concurrent binary reading the cache sees
+            // either the old controller or the new one, never a torn file.
             let _ = fl_rl::snapshot::atomic_write(&path, json.as_bytes());
         }
         (out.output.controller, false, Some(out.rounds))

@@ -21,7 +21,7 @@
 //! batcher, a lock held across a policy forward — not microsecond drift.
 
 use crate::Scenario;
-use fl_ctrl::ControllerSnapshot;
+use fl_ctrl::{ControllerSnapshot, ParallelConfig};
 use fl_obs::trace::{attribution, collect_spans, TraceAttribution};
 use fl_obs::{quantile_sorted, Recorder};
 use fl_rl::snapshot::CheckpointStore;
@@ -126,7 +126,11 @@ pub struct ServeReport {
 pub fn prepare_store(dir: &Path, pool_size: usize) -> (ControllerSnapshot, Vec<Vec<f64>>) {
     let scenario = Scenario::testbed();
     let sys = scenario.build();
-    let (ctrl, _cached) = scenario.train_cached(&sys, SNAPSHOT_EPISODES);
+    let (ctrl, _cached, _) = scenario.train_cached(
+        &sys,
+        &scenario.train_config(SNAPSHOT_EPISODES),
+        &ParallelConfig::SERIAL,
+    );
     let snap = ControllerSnapshot::from_system(ctrl, &sys).expect("testbed snapshot is valid");
     let store = CheckpointStore::new(dir).expect("checkpoint store");
     snap.save(&store).expect("snapshot saves");

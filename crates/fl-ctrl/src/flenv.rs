@@ -174,14 +174,6 @@ impl FlFreqEnv {
         self.scope = scope.into();
     }
 
-    /// Pins the index the *next* episode will carry (the serial training
-    /// loop seeds this from its global episode count so event keys survive
-    /// resume and supervisor rollback; parallel slots carry the counter in
-    /// their serialized state instead).
-    pub fn seek_episode(&mut self, episode_index: u64) {
-        self.started = episode_index;
-    }
-
     /// The wrapped system.
     pub fn system(&self) -> &FlSystem {
         &self.sys
@@ -377,8 +369,8 @@ impl Environment for FlFreqEnv {
     }
 
     fn reset(&mut self, rng: &mut ChaCha8Rng) -> fl_rl::Result<Vec<f64>> {
-        // The episode now starting gets index `started` (see
-        // `seek_episode`); the bump is unconditional and RNG-free.
+        // The episode now starting gets index `started`; the bump is
+        // unconditional and RNG-free.
         self.started += 1;
         // Algorithm 1 line 6: random federated-learning start time.
         let horizon = self.sys.traces().random_start_time(rng).max(0.0);

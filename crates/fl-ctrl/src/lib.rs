@@ -84,9 +84,9 @@ pub use supervise::{
     DivergenceCause, Intervention, RecoveryAction, SupervisorPolicy, SupervisorState, TrainError,
 };
 pub use train::{
-    fleet_statics, train_drl, train_drl_opt, train_drl_parallel, train_drl_parallel_opt,
-    CheckpointOptions, EpisodeStats, ParallelConfig, ParallelTrainOutput, PolicyArch, RunOptions,
-    TrainConfig, TrainOutput,
+    fleet_statics, train_drl, train_drl_parallel, train_drl_parallel_opt, CheckpointOptions,
+    EpisodeStats, ParallelConfig, ParallelTrainOutput, PolicyArch, RunOptions, TrainConfig,
+    TrainOutput,
 };
 
 /// Convenience alias for results in this crate.

@@ -5,14 +5,14 @@
 //! parameters — the `fl_rl` layer refuses to apply these and surfaces
 //! [`fl_rl::RlError::Diverged`]) or a silent reward collapse, where the
 //! policy wedges itself into a corner and the cost curve explodes. The
-//! supervisor watches for both from inside [`crate::train_drl_opt`] /
-//! [`crate::train_drl_parallel_opt`]; on a strike it rolls training back to
-//! the last good in-memory snapshot and escalates deterministically:
+//! supervisor watches for both from inside [`crate::train_drl_parallel_opt`];
+//! on a strike it rolls training back to the last good in-memory snapshot
+//! and escalates deterministically:
 //!
 //! 1. every strike: roll back and multiply all learning rates by
 //!    [`SupervisorPolicy::lr_backoff`] (compounding),
-//! 2. from strike [`SupervisorPolicy::reseed_after`] on (parallel path
-//!    only): additionally re-derive the environment RNG streams
+//! 2. from strike [`SupervisorPolicy::reseed_after`] on: additionally
+//!    re-derive the environment RNG streams
 //!    ([`fl_rl::runner::VecEnvRunner::reseed_streams`]) so the replayed
 //!    trajectory actually changes,
 //! 3. at [`SupervisorPolicy::max_strikes`]: abort with the structured
@@ -52,8 +52,7 @@ pub enum RecoveryAction {
     /// Rolled back to the last good snapshot and backed off the learning
     /// rates.
     RollbackBackoff,
-    /// Rollback + backoff, plus re-derived environment RNG streams
-    /// (parallel path only).
+    /// Rollback + backoff, plus re-derived environment RNG streams.
     RollbackReseed,
     /// Strike budget exhausted — training aborted with
     /// [`TrainError::Diverged`].
@@ -154,8 +153,8 @@ pub struct SupervisorPolicy {
     /// best window mean seen so far counts as collapsed.
     pub collapse_factor: f64,
     /// Strike number from which rollbacks also re-derive the environment
-    /// RNG streams (parallel path only; serial rollbacks always replay the
-    /// same trajectory under the backed-off learning rate).
+    /// RNG streams (earlier rollbacks replay the same trajectory under the
+    /// backed-off learning rate).
     pub reseed_after: u32,
 }
 

@@ -8,9 +8,9 @@ use crate::supervise::{
 };
 use crate::{CtrlError, Result};
 use fl_obs::{Event, Recorder};
-use fl_rl::runner::{RolloutMode, RunnerState, VecEnvRunner};
+use fl_rl::runner::{RunnerState, VecEnvRunner};
 use fl_rl::snapshot::{self, CheckpointStore, RngState};
-use fl_rl::{Environment, PpoAgent, PpoConfig, RolloutBuffer, Transition};
+use fl_rl::{Environment, PpoAgent, PpoConfig, RolloutBuffer};
 use fl_sim::FlSystem;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -246,16 +246,25 @@ fn build_agent(
 ///    compute the Eq. 13 reward, store the transition (lines 12–16);
 /// 4. when the buffer fills: `M` PPO epochs, critic TD regression, sync
 ///    `θ_a^old ← θ_a`, clear the buffer (lines 17–23).
+///
+/// A shortcut for [`train_drl_parallel_opt`] at [`ParallelConfig::SERIAL`]
+/// with default options.
 pub fn train_drl(
     sys: &FlSystem,
     config: &TrainConfig,
     rng: &mut ChaCha8Rng,
 ) -> Result<TrainOutput> {
-    train_drl_opt(sys, config, rng, &RunOptions::default())
+    train_drl_parallel_opt(
+        sys,
+        config,
+        &ParallelConfig::SERIAL,
+        rng,
+        &RunOptions::default(),
+    )
+    .map(|out| out.output)
 }
 
-/// Where and how often [`train_drl_opt`] / [`train_drl_parallel_opt`]
-/// checkpoint.
+/// Where and how often [`train_drl_parallel_opt`] checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointOptions {
     /// Directory for the double-buffered `ckpt-A`/`ckpt-B` slot files
@@ -271,8 +280,8 @@ pub struct CheckpointOptions {
 }
 
 /// Optional behaviors of a training run. [`RunOptions::default`] is inert:
-/// `train_drl*_opt` with defaults is bit-identical to the plain
-/// [`train_drl`] / [`train_drl_parallel`] entry points.
+/// [`train_drl_parallel_opt`] with defaults is bit-identical to
+/// [`train_drl_parallel`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunOptions {
     /// Crash-safe checkpointing (and resume) of the complete training
@@ -293,12 +302,6 @@ pub struct RunOptions {
     /// stream. Recording never consumes RNG and never branches training:
     /// runs with and without it are bit-identical.
     pub obs: Recorder,
-    /// Rollout scheduling mode for the parallel path (`None` defers to the
-    /// `FL_ROLLOUT` environment variable via [`RolloutMode::from_env`]).
-    /// Physical state, like the worker count: both modes are bit-identical,
-    /// so a resumed run may switch modes freely — the default therefore
-    /// keeps `RunOptions::default()` inert. Ignored by the serial path.
-    pub rollout: Option<RolloutMode>,
 }
 
 impl RunOptions {
@@ -321,15 +324,14 @@ impl RunOptions {
 /// The complete training state a checkpoint payload carries: agent (actor,
 /// critic, optimizer moments, obs normalizer), the partially filled PPO
 /// buffer, the master RNG position, the full episode history, supervisor
-/// bookkeeping, and (parallel path) every env slot's state and stream.
-/// Restoring this and continuing is bit-identical to never having stopped.
+/// bookkeeping, and every env slot's state and stream. Restoring this and
+/// continuing is bit-identical to never having stopped.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct TrainState {
     /// CRC-32 of the serialized [`TrainConfig`]; a resume under a
     /// different configuration is refused rather than silently diverging.
     config_digest: u32,
-    /// Parallel fan-out width the state was written under (0 = serial
-    /// path); guarded on resume.
+    /// Environment count the state was written under; guarded on resume.
     n_envs: usize,
     agent: PpoAgent,
     buffer: RolloutBuffer,
@@ -340,7 +342,16 @@ struct TrainState {
     last_value_loss: f64,
     last_entropy: f64,
     supervisor: SupervisorState,
-    runner: Option<RunnerState>,
+    runner: RunnerState,
+}
+
+/// The resume guards of a [`TrainState`] payload, decoded before the rest
+/// so that a checkpoint of another shape is refused with a structured
+/// error before its runner state is read.
+#[derive(Deserialize)]
+struct TrainStateHeader {
+    config_digest: u32,
+    n_envs: usize,
 }
 
 fn config_digest(config: &TrainConfig) -> Result<u32> {
@@ -348,7 +359,7 @@ fn config_digest(config: &TrainConfig) -> Result<u32> {
 }
 
 /// Loads and sanity-checks the resume state, if resuming was requested and
-/// a checkpoint exists. `n_envs` is 0 for the serial path.
+/// a checkpoint exists.
 fn load_resume_state(
     opts: &RunOptions,
     store: &Option<CheckpointStore>,
@@ -364,6 +375,18 @@ fn load_resume_state(
     let Some((seq, payload)) = store.load_latest()? else {
         return Ok(None);
     };
+    let header: TrainStateHeader = snapshot::decode_payload(&payload)?;
+    if header.config_digest != digest {
+        return Err(CtrlError::InvalidArgument(
+            "checkpoint was written under a different training configuration".to_string(),
+        ));
+    }
+    if header.n_envs != n_envs {
+        return Err(CtrlError::InvalidArgument(format!(
+            "checkpoint was written with n_envs={}, this run requests n_envs={}",
+            header.n_envs, n_envs
+        )));
+    }
     let st: TrainState = snapshot::decode_payload(&payload)?;
     if opts.obs.is_enabled() {
         opts.obs.emit(
@@ -373,17 +396,6 @@ fn load_resume_state(
                 .u("n_envs", n_envs as u64)
                 .u("bytes", payload.len() as u64),
         );
-    }
-    if st.config_digest != digest {
-        return Err(CtrlError::InvalidArgument(
-            "checkpoint was written under a different training configuration".to_string(),
-        ));
-    }
-    if st.n_envs != n_envs {
-        return Err(CtrlError::InvalidArgument(format!(
-            "checkpoint was written with n_envs={}, this run requests n_envs={}",
-            st.n_envs, n_envs
-        )));
     }
     Ok(Some(st))
 }
@@ -396,7 +408,7 @@ fn recover(
     last_good: &Option<Vec<u8>>,
     opts: &RunOptions,
     rng: &mut ChaCha8Rng,
-    runner: Option<&mut VecEnvRunner<FlFreqEnv>>,
+    runner: &mut VecEnvRunner<FlFreqEnv>,
     episode: usize,
     cause: DivergenceCause,
 ) -> Result<()> {
@@ -411,7 +423,7 @@ fn recover(
         }
         .into());
     }
-    let reseed = runner.is_some() && strike >= pol.reseed_after;
+    let reseed = strike >= pol.reseed_after;
     let iv = Intervention {
         episode,
         strike,
@@ -438,18 +450,14 @@ fn recover(
     restored.agent.scale_learning_rates(factor);
     restored.supervisor = sup;
     *rng = restored.master_rng.restore()?;
-    if let Some(r) = runner {
-        let saved = restored
-            .runner
-            .as_ref()
-            .expect("parallel state carries runner slots");
-        r.import_state(saved).map_err(CtrlError::from)?;
-        if reseed {
-            // Move every env slot onto a fresh, strike-salted stream family
-            // so the replayed trajectory actually changes (deterministic:
-            // a resumed run derives the identical streams).
-            r.reseed_streams(strike as u64);
-        }
+    runner
+        .import_state(&restored.runner)
+        .map_err(CtrlError::from)?;
+    if reseed {
+        // Move every env slot onto a fresh, strike-salted stream family so
+        // the replayed trajectory actually changes (deterministic: a
+        // resumed run derives the identical streams).
+        runner.reseed_streams(strike as u64);
     }
     *st = restored;
     // `decode_payload` rebuilt the agent from scratch (the recorder field is
@@ -539,218 +547,7 @@ fn save_checkpoint(
     Ok(())
 }
 
-/// One serial training episode, operating directly on the training state
-/// (Algorithm 1 lines 6–23).
-fn run_serial_episode(
-    st: &mut TrainState,
-    env: &mut FlFreqEnv,
-    config: &TrainConfig,
-    lambda: f64,
-    rng: &mut ChaCha8Rng,
-) -> Result<()> {
-    let episode = st.episodes.len();
-    let mut obs = env.reset(rng).map_err(CtrlError::from)?;
-    let mut total_reward = 0.0;
-    let mut cost_sum = 0.0;
-    let mut steps = 0usize;
-    loop {
-        let out = st.agent.act(&obs, rng).map_err(CtrlError::from)?;
-        let step = env.step(&out.action).map_err(CtrlError::from)?;
-        total_reward += step.reward;
-        cost_sum += env
-            .last_report()
-            .map(|r| r.cost(lambda))
-            .unwrap_or(-step.reward);
-        steps += 1;
-        st.buffer
-            .push(Transition {
-                obs: out.norm_obs,
-                action: out.action,
-                log_prob: out.log_prob,
-                reward: step.reward * config.reward_scale,
-                value: out.value,
-                done: step.done,
-            })
-            .map_err(CtrlError::from)?;
-        if st.buffer.is_full() {
-            let last_value = if step.done {
-                0.0
-            } else {
-                st.agent
-                    .bootstrap_value(&step.obs)
-                    .map_err(CtrlError::from)?
-            };
-            let stats = st
-                .agent
-                .update(&st.buffer, last_value, rng)
-                .map_err(CtrlError::from)?;
-            st.buffer.clear();
-            st.updates_so_far += 1;
-            st.last_policy_loss = stats.policy_loss;
-            st.last_value_loss = stats.value_loss;
-            st.last_entropy = stats.entropy;
-        }
-        if step.done {
-            break;
-        }
-        obs = step.obs;
-    }
-    st.episodes.push(EpisodeStats {
-        episode,
-        mean_cost: cost_sum / steps.max(1) as f64,
-        total_reward,
-        policy_loss: st.last_policy_loss,
-        value_loss: st.last_value_loss,
-        entropy: st.last_entropy,
-        updates_so_far: st.updates_so_far,
-    });
-    Ok(())
-}
-
-/// [`train_drl`] with crash-safe checkpoint/resume and optional
-/// self-healing supervision.
-///
-/// # Resume determinism contract
-///
-/// With checkpointing on, interrupting the run anywhere (crash, kill,
-/// [`RunOptions::stop_after_episodes`]) and re-running with
-/// `resume: true` produces **bit-identical** results to the uninterrupted
-/// run: the same [`EpisodeStats`] series, the same final parameters, the
-/// same controller. Checkpoints capture everything training mutates —
-/// agent (incl. optimizer moments and obs-normalizer statistics), the
-/// partially filled PPO buffer, the master RNG position, episode history,
-/// and supervisor bookkeeping — in a CRC-checksummed, double-buffered,
-/// atomically written file pair (see `fl_rl::snapshot`).
-pub fn train_drl_opt(
-    sys: &FlSystem,
-    config: &TrainConfig,
-    rng: &mut ChaCha8Rng,
-    opts: &RunOptions,
-) -> Result<TrainOutput> {
-    config.validate()?;
-    opts.validate()?;
-    let mut env = FlFreqEnv::new(sys.clone(), config.env)?;
-    env.set_recorder(opts.obs.clone(), "env0");
-    if opts.obs.is_enabled() {
-        opts.obs.emit(
-            Event::phys("run_meta")
-                .s("path", "serial")
-                .u("episodes", config.episodes as u64)
-                .u("devices", sys.num_devices() as u64),
-        );
-    }
-    let lambda = sys.config().lambda;
-    let digest = config_digest(config)?;
-    let store = match &opts.checkpoint {
-        Some(ck) => Some(CheckpointStore::new(&ck.dir)?),
-        None => None,
-    };
-
-    let mut st = match load_resume_state(opts, &store, digest, 0)? {
-        Some(mut st) => {
-            *rng = st.master_rng.restore()?;
-            st.agent.set_recorder(opts.obs.clone());
-            st
-        }
-        None => {
-            let mut agent = build_agent(sys, config, env.obs_dim(), env.action_dim(), rng)?;
-            agent.set_recorder(opts.obs.clone());
-            if let Some(update) = opts.poison_update {
-                agent.poison_update_for_test(update);
-            }
-            let buffer = agent.make_buffer().map_err(CtrlError::from)?;
-            let last_entropy = agent.policy().entropy();
-            TrainState {
-                config_digest: digest,
-                n_envs: 0,
-                agent,
-                buffer,
-                master_rng: RngState::capture(rng),
-                episodes: Vec::new(),
-                updates_so_far: 0,
-                last_policy_loss: f64::NAN,
-                last_value_loss: f64::NAN,
-                last_entropy,
-                supervisor: SupervisorState::default(),
-                runner: None,
-            }
-        }
-    };
-
-    let mut last_good: Option<Vec<u8>> = None;
-    if opts.supervisor.is_some() {
-        st.master_rng = RngState::capture(rng);
-        last_good = Some(snapshot::encode_payload(&st)?);
-    }
-    let mut episodes_since_ckpt = 0usize;
-    let stop_at = opts.stop_after_episodes.unwrap_or(usize::MAX);
-
-    'training: while st.episodes.len() < config.episodes && st.episodes.len() < stop_at {
-        let episode = st.episodes.len();
-        // Align the env's episode counter with the training history so the
-        // deterministic `fl_round` event keys survive resume and rollback.
-        // Unconditional and RNG-free: identical with recording disabled.
-        env.seek_episode(episode as u64);
-        match run_serial_episode(&mut st, &mut env, config, lambda, rng) {
-            Ok(()) => {}
-            Err(CtrlError::Rl(fl_rl::RlError::Diverged(msg))) => {
-                if opts.supervisor.is_none() {
-                    return Err(CtrlError::Rl(fl_rl::RlError::Diverged(msg)));
-                }
-                recover(
-                    &mut st,
-                    &last_good,
-                    opts,
-                    rng,
-                    None,
-                    episode,
-                    DivergenceCause::NonFinite,
-                )?;
-                continue 'training;
-            }
-            Err(e) => return Err(e),
-        }
-        emit_episode_event(&opts.obs, &st);
-        if let Some(pol) = &opts.supervisor {
-            let _sup_span = opts.obs.span("supervisor_check");
-            let costs: Vec<f64> = st.episodes.iter().map(|e| e.mean_cost).collect();
-            if reward_collapsed(&costs, pol.collapse_window, pol.collapse_factor) {
-                recover(
-                    &mut st,
-                    &last_good,
-                    opts,
-                    rng,
-                    None,
-                    episode,
-                    DivergenceCause::RewardCollapse,
-                )?;
-                continue 'training;
-            }
-        }
-        episodes_since_ckpt += 1;
-        let due = store.is_some()
-            && opts
-                .checkpoint
-                .as_ref()
-                .is_some_and(|ck| episodes_since_ckpt >= ck.every_episodes);
-        if due || opts.supervisor.is_some() {
-            st.master_rng = RngState::capture(rng);
-            let payload = snapshot::encode_payload(&st)?;
-            if due {
-                let store = store.as_ref().expect("due implies store");
-                save_checkpoint(&opts.obs, store, &payload, st.episodes.len())?;
-                episodes_since_ckpt = 0;
-            }
-            if opts.supervisor.is_some() {
-                last_good = Some(payload);
-            }
-        }
-    }
-
-    finish_output(st, config)
-}
-
-/// Parallel-rollout settings for [`train_drl_parallel`].
+/// Rollout settings for [`train_drl_parallel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParallelConfig {
     /// Independent environment instances stepped concurrently. This is a
@@ -772,6 +569,12 @@ impl Default for ParallelConfig {
 }
 
 impl ParallelConfig {
+    /// One environment on one worker: serial Algorithm 1.
+    pub const SERIAL: ParallelConfig = ParallelConfig {
+        n_envs: 1,
+        workers: 1,
+    };
+
     /// Validates the shape.
     pub fn validate(&self) -> Result<()> {
         if self.n_envs == 0 {
@@ -800,10 +603,9 @@ pub struct ParallelTrainOutput {
 ///
 /// The determinism contract is inherited from the runner: for a fixed RNG
 /// state and `par.n_envs`, the returned [`EpisodeStats`], controller, and
-/// agent are **bit-identical for every `par.workers` value**. Relative to
-/// [`train_drl`] the trajectory differs (vectorization reorders the
-/// experience stream), so the two are separate, internally-consistent
-/// training paths.
+/// agent are **bit-identical for every `par.workers` value**. `par.n_envs`
+/// is logical: it reorders the experience stream. [`train_drl`] is this
+/// driver at `n_envs = 1`.
 ///
 /// Episode numbering follows merge order: round `r` contributes episodes
 /// `r·n_envs .. (r+1)·n_envs`, one per environment, each exactly
@@ -820,18 +622,24 @@ pub fn train_drl_parallel(
 }
 
 /// [`train_drl_parallel`] with crash-safe checkpoint/resume and optional
-/// self-healing supervision.
+/// self-healing supervision — the one Algorithm-1 driver.
 ///
-/// The resume determinism contract of [`train_drl_opt`] holds here too,
-/// and composes with the parallel determinism contract: a run interrupted
-/// at any round boundary and resumed — even under a *different*
-/// `par.workers` — is bit-identical to the uninterrupted run at the
-/// original worker count. Checkpoints additionally capture every
-/// environment slot (mid-episode state, per-env RNG stream position,
-/// episode accumulators), and a resumed run never re-draws the master
-/// seed. Worker telemetry ([`ParallelTrainOutput::rounds`]) covers only
-/// the rounds this process executed — it is physical, not part of the
-/// deterministic state.
+/// # Resume determinism contract
+///
+/// With checkpointing on, interrupting the run at any round boundary
+/// (crash, kill, [`RunOptions::stop_after_episodes`]) and re-running with
+/// `resume: true` — even under a *different* `par.workers` — produces
+/// **bit-identical** results to the uninterrupted run: the same
+/// [`EpisodeStats`] series, the same final parameters, the same
+/// controller. Checkpoints capture everything training mutates — agent
+/// (incl. optimizer moments and obs-normalizer statistics), the partially
+/// filled PPO buffer, the master RNG position, episode history, supervisor
+/// bookkeeping, and every environment slot (mid-episode state, per-env RNG
+/// stream position, episode accumulators) — in a CRC-checksummed,
+/// double-buffered, atomically written file pair (see `fl_rl::snapshot`).
+/// A resumed run never re-draws the master seed. Worker telemetry
+/// ([`ParallelTrainOutput::rounds`]) covers only the rounds this process
+/// executed — it is physical, not part of the deterministic state.
 pub fn train_drl_parallel_opt(
     sys: &FlSystem,
     config: &TrainConfig,
@@ -858,7 +666,6 @@ pub fn train_drl_parallel_opt(
     if opts.obs.is_enabled() {
         opts.obs.emit(
             Event::phys("run_meta")
-                .s("path", "parallel")
                 .u("episodes", config.episodes as u64)
                 .u("n_envs", par.n_envs as u64)
                 .u("workers", par.workers as u64)
@@ -876,16 +683,8 @@ pub fn train_drl_parallel_opt(
             // every slot (env state, stream, position) from the checkpoint,
             // so the master seed is never re-drawn on resume.
             let mut runner = VecEnvRunner::new(envs, 0, par.workers).map_err(CtrlError::from)?;
-            if let Some(mode) = opts.rollout {
-                runner.set_rollout_mode(mode);
-            }
             runner.set_recorder(opts.obs.clone());
-            let saved = st.runner.as_ref().ok_or_else(|| {
-                CtrlError::InvalidArgument(
-                    "checkpoint carries no runner state (serial-path checkpoint?)".to_string(),
-                )
-            })?;
-            runner.import_state(saved).map_err(CtrlError::from)?;
+            runner.import_state(&st.runner).map_err(CtrlError::from)?;
             (st, runner)
         }
         None => {
@@ -902,9 +701,6 @@ pub fn train_drl_parallel_opt(
             let master_seed = rand::RngCore::next_u64(rng);
             let mut runner =
                 VecEnvRunner::new(envs, master_seed, par.workers).map_err(CtrlError::from)?;
-            if let Some(mode) = opts.rollout {
-                runner.set_rollout_mode(mode);
-            }
             runner.set_recorder(opts.obs.clone());
             let st = TrainState {
                 config_digest: digest,
@@ -918,7 +714,7 @@ pub fn train_drl_parallel_opt(
                 last_value_loss: f64::NAN,
                 last_entropy,
                 supervisor: SupervisorState::default(),
-                runner: None,
+                runner: runner.export_state(),
             };
             (st, runner)
         }
@@ -927,7 +723,7 @@ pub fn train_drl_parallel_opt(
     let mut last_good: Option<Vec<u8>> = None;
     if opts.supervisor.is_some() {
         st.master_rng = RngState::capture(rng);
-        st.runner = Some(runner.export_state());
+        st.runner = runner.export_state();
         last_good = Some(snapshot::encode_payload(&st)?);
     }
     let rounds_needed = config.episodes.div_ceil(par.n_envs);
@@ -955,7 +751,7 @@ pub fn train_drl_parallel_opt(
                     &last_good,
                     opts,
                     rng,
-                    Some(&mut runner),
+                    &mut runner,
                     episode,
                     DivergenceCause::NonFinite,
                 )?;
@@ -992,7 +788,7 @@ pub fn train_drl_parallel_opt(
                     &last_good,
                     opts,
                     rng,
-                    Some(&mut runner),
+                    &mut runner,
                     episode,
                     DivergenceCause::RewardCollapse,
                 )?;
@@ -1006,7 +802,7 @@ pub fn train_drl_parallel_opt(
                 .is_some_and(|ck| episodes_since_ckpt >= ck.every_episodes);
         if due || opts.supervisor.is_some() {
             st.master_rng = RngState::capture(rng);
-            st.runner = Some(runner.export_state());
+            st.runner = runner.export_state();
             let payload = snapshot::encode_payload(&st)?;
             if due {
                 let store = store.as_ref().expect("due implies store");
@@ -1028,7 +824,7 @@ pub fn train_drl_parallel_opt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controllers::{FrequencyController, MaxFreqController};
+    use crate::controllers::FrequencyController;
     use crate::flenv::build_system;
     use fl_net::synth::Profile;
     use fl_sim::FlConfig;
@@ -1230,26 +1026,30 @@ mod tests {
     }
 
     /// The Fig. 6(b) property at unit-test scale: average system cost
-    /// decreases over training episodes. (Absolute competitiveness against
-    /// the baselines needs longer budgets and is exercised in the
-    /// integration tests.)
+    /// decreases over training episodes. One short stochastic run can go
+    /// either way, so the property is asserted on the mean relative change
+    /// `(last15 − first15) / first15` over seeds 0..16. (Absolute
+    /// competitiveness against the baselines needs longer budgets and is
+    /// exercised in the integration tests.)
     #[test]
     fn training_reduces_episode_cost() {
         let sys = system(8);
-        // Seed pinned against the vendored ChaCha8/gen_range stream (any
-        // RNG change re-rolls this short stochastic run; 7 improves with
-        // the widest margin across seeds 0..16).
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut config = quick_config(80);
         config.env.episode_len = 16;
         config.ppo.buffer_capacity = 128;
-        let out = train_drl(&sys, &config, &mut rng).unwrap();
-        let head: f64 = out.episodes[..15].iter().map(|e| e.mean_cost).sum::<f64>() / 15.0;
-        let tail = out.final_mean_cost(15);
+        let changes: Vec<f64> = (0..16)
+            .map(|seed| {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let out = train_drl(&sys, &config, &mut rng).unwrap();
+                let head = out.episodes[..15].iter().map(|e| e.mean_cost).sum::<f64>() / 15.0;
+                (out.final_mean_cost(15) - head) / head
+            })
+            .collect();
+        let mean = changes.iter().sum::<f64>() / changes.len() as f64;
         assert!(
-            tail < head,
-            "cost did not decrease over training: first15={head}, last15={tail}"
+            mean < 0.0,
+            "cost did not decrease over training on average: mean relative change {mean}, \
+             per seed {changes:?}"
         );
-        let _ = MaxFreqController; // baseline comparisons live in tests/
     }
 }

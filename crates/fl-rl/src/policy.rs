@@ -511,19 +511,12 @@ impl GaussianPolicy {
         Ok(means)
     }
 
-    /// Samples `a ~ N(μ(obs), σ²)` and returns `(action, log_prob)`.
-    pub fn sample(&self, obs: &[f64], rng: &mut impl Rng) -> Result<(Vec<f64>, f64)> {
-        let mean = self.mean_action(obs)?;
-        Ok(self.sample_with_mean(&mean, rng))
-    }
-
-    /// Samples around a precomputed mean — the noise/log-prob tail of
-    /// [`GaussianPolicy::sample`], factored out so the batched rollout path
-    /// (one forward for many environments, then per-environment noise draws
-    /// from per-environment RNG streams) executes *exactly* the same
-    /// floating-point and RNG op sequence as the single-observation path:
-    /// per dimension one [`gaussian`] draw (two `rng.gen::<f64>()` calls),
-    /// `mean + std * noise`, then [`GaussianPolicy::log_prob_given_mean`].
+    /// Samples `a ~ N(mean, σ²)` around a precomputed mean and returns
+    /// `(action, log_prob)`. The mean comes from a batched forward, so one
+    /// forward serves many environments while each draws its noise from its
+    /// own RNG stream: per dimension one [`gaussian`] draw (two
+    /// `rng.gen::<f64>()` calls), `mean + std * noise`, then
+    /// [`GaussianPolicy::log_prob_given_mean`].
     pub fn sample_with_mean(&self, mean: &[f64], rng: &mut impl Rng) -> (Vec<f64>, f64) {
         let std = self.std();
         let action: Vec<f64> = mean
@@ -751,7 +744,7 @@ mod tests {
         let p = policy(4);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let obs = [0.2, -0.1, 0.5];
-        let (a, lp) = p.sample(&obs, &mut rng).unwrap();
+        let (a, lp) = p.sample_with_mean(&p.mean_action(&obs).unwrap(), &mut rng);
         assert_eq!(a.len(), 2);
         let lp2 = p.log_prob(&obs, &a).unwrap();
         assert!((lp - lp2).abs() < 1e-12);
@@ -1147,28 +1140,6 @@ mod tests {
                     assert_eq!(a.to_bits(), b.to_bits(), "row {r}");
                 }
             }
-        }
-    }
-
-    /// Split-step contract: `sample` must equal `mean_action` followed by
-    /// `sample_with_mean` bit-for-bit, consuming the same RNG draws — this
-    /// is what lets the batched rollout compute means in one forward and
-    /// defer the noise to per-environment streams.
-    #[test]
-    fn sample_with_mean_matches_fused_sample_bitwise() {
-        for p in [policy(31), shared_policy(31), broadcast_policy(31)] {
-            let dim = p.obs_dim();
-            let obs: Vec<f64> = (0..dim).map(|i| (i as f64 * 0.37).sin()).collect();
-            let mut r1 = ChaCha8Rng::seed_from_u64(9);
-            let mut r2 = r1.clone();
-            let (a1, lp1) = p.sample(&obs, &mut r1).unwrap();
-            let mean = p.mean_action(&obs).unwrap();
-            let (a2, lp2) = p.sample_with_mean(&mean, &mut r2);
-            assert_eq!(lp1.to_bits(), lp2.to_bits());
-            for (x, y) in a1.iter().zip(&a2) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            assert_eq!(r1, r2, "both paths must consume identical RNG draws");
         }
     }
 

@@ -167,12 +167,12 @@ pub struct ActOutput {
     pub value: f64,
 }
 
-/// One frozen forward over a stack of raw observations — the batched half
-/// of [`PpoAgent::act_frozen`]. The rows are independent by the kernel
-/// bit-exactness contract, so row `i` holds exactly the bits a standalone
-/// `act_frozen` on observation `i` would have produced; only the Gaussian
-/// noise draw is deferred (to [`PpoAgent::sample_frozen_row`], which pulls
-/// from whichever RNG stream owns that row).
+/// One frozen forward over a stack of raw observations
+/// ([`PpoAgent::forward_frozen_batch`]). The rows are independent by the
+/// kernel bit-exactness contract, so row `i` holds exactly the bits a 1-row
+/// forward of observation `i` would have produced; only the Gaussian noise
+/// draw is deferred (to [`PpoAgent::sample_frozen_row`], which pulls from
+/// whichever RNG stream owns that row).
 #[derive(Debug, Clone)]
 pub struct FrozenBatch {
     /// Normalized observations, one row per input observation.
@@ -419,46 +419,29 @@ impl PpoAgent {
     }
 
     /// Samples an action from `θ_a^old` (Algorithm 1 line 12). Updates the
-    /// observation statistics when in training mode.
+    /// observation statistics when in training mode, then acts exactly as
+    /// one row of the rollout engine does: a 1-row
+    /// [`PpoAgent::forward_frozen_batch`] and [`PpoAgent::sample_frozen_row`].
     pub fn act(&mut self, obs: &[f64], rng: &mut ChaCha8Rng) -> Result<ActOutput> {
-        self.check_obs(obs)?;
-        if self.training {
-            self.obs_norm.update(obs);
-        }
-        self.act_frozen(obs, rng)
+        self.absorb_obs(obs)?;
+        let batch = self.forward_frozen_batch(&[obs])?;
+        self.sample_frozen_row(&batch, 0, rng)
     }
 
-    /// Samples an action from `θ_a^old` **without** mutating the agent: the
-    /// observation statistics are read, never updated. This is the act path
-    /// of the parallel rollout engine, where worker threads share one agent
-    /// snapshot and the normalizer absorbs the raw observations later, at
-    /// merge time, in a fixed order ([`PpoAgent::absorb_obs`]).
-    pub fn act_frozen(&self, obs: &[f64], rng: &mut ChaCha8Rng) -> Result<ActOutput> {
-        self.check_obs(obs)?;
-        let norm_obs = self.obs_norm.normalize(obs);
-        let (action, log_prob) = self.policy_old.sample(&norm_obs, rng)?;
-        let value = self.value.predict(&norm_obs)?;
-        Ok(ActOutput {
-            norm_obs,
-            action,
-            log_prob,
-            value,
-        })
-    }
-
-    /// Runs the frozen act path over a whole stack of raw observations in
-    /// one batched forward: per-row normalization with the frozen
-    /// statistics, a single `θ_a^old` mean forward, and a single critic
-    /// forward. Because every kernel computes each output row with a
+    /// Runs `θ_a^old` over a whole stack of raw observations in one batched
+    /// forward, **without** mutating the agent: per-row normalization with
+    /// the current statistics, a single `θ_a^old` mean forward, and a single
+    /// critic forward. Because every kernel computes each output row with a
     /// row-count-independent operation sequence, row `i` of the result is
-    /// bit-identical to what [`PpoAgent::act_frozen`] computes for
-    /// observation `i` alone — batching across environments never changes
-    /// trained bits. The noise draw is deliberately *not* part of this
-    /// call; see [`PpoAgent::sample_frozen_row`].
-    pub fn forward_frozen_batch(&self, raw_obs: &[Vec<f64>]) -> Result<FrozenBatch> {
+    /// bit-identical to a 1-row forward of observation `i` alone — batching
+    /// across environments never changes trained bits. The noise draw is
+    /// deliberately *not* part of this call; see
+    /// [`PpoAgent::sample_frozen_row`].
+    pub fn forward_frozen_batch<R: AsRef<[f64]>>(&self, raw_obs: &[R]) -> Result<FrozenBatch> {
         let d = self.policy.obs_dim();
         let mut data = Vec::with_capacity(raw_obs.len() * d);
         for obs in raw_obs {
+            let obs = obs.as_ref();
             self.check_obs(obs)?;
             data.extend(self.obs_norm.normalize(obs));
         }
@@ -473,10 +456,8 @@ impl PpoAgent {
     }
 
     /// Completes row `row` of a [`FrozenBatch`] into a full [`ActOutput`]
-    /// by drawing the Gaussian noise from `rng` — the same draws, in the
-    /// same order, that [`PpoAgent::act_frozen`] would have made on that
-    /// observation with that RNG ([`GaussianPolicy::sample_with_mean`]
-    /// shares the op sequence with `sample` by construction).
+    /// by drawing the Gaussian noise from `rng`
+    /// ([`GaussianPolicy::sample_with_mean`]).
     pub fn sample_frozen_row(
         &self,
         batch: &FrozenBatch,
@@ -499,9 +480,9 @@ impl PpoAgent {
     }
 
     /// Absorbs a raw observation into the normalizer statistics (training
-    /// mode only) — the deferred half of [`PpoAgent::act_frozen`]. Calling
-    /// `absorb_obs` then `act_frozen` on the same observation reproduces
-    /// exactly what [`PpoAgent::act`] does in one step.
+    /// mode only). The rollout engine acts through a frozen agent and
+    /// replays these updates at merge time, in environment order;
+    /// [`PpoAgent::act`] absorbs before it acts.
     pub fn absorb_obs(&mut self, obs: &[f64]) -> Result<()> {
         self.check_obs(obs)?;
         if self.training {
@@ -1101,19 +1082,21 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
-    /// Batched-rollout contract at the agent level: for any batch size, the
-    /// frozen batched forward plus a per-row noise draw reproduces
-    /// `act_frozen` bit-for-bit — normalized obs, action, log-prob, value,
-    /// and the RNG position afterwards.
+    /// Batched-rollout contract at the agent level: for any batch size, row
+    /// `i` of a frozen batched forward plus its noise draw reproduces `act`
+    /// on observation `i` bit-for-bit — normalized obs, action, log-prob,
+    /// value, and the RNG position afterwards.
     #[test]
-    fn frozen_batch_rows_match_act_frozen_bitwise() {
+    fn frozen_batch_rows_match_act_bitwise() {
         let mut rng = ChaCha8Rng::seed_from_u64(50);
         let mut agent = PpoAgent::new(3, 2, small_config(), &mut rng).unwrap();
-        // Warm the normalizer so normalization is non-trivial.
+        // Warm the normalizer so normalization is non-trivial, then freeze
+        // it so `act` reads the same statistics the batch does.
         for i in 0..16 {
             let o = [(i as f64 * 0.3).sin(), i as f64 * 0.1, -0.2 * i as f64];
             agent.act(&o, &mut rng).unwrap();
         }
+        agent.set_training(false);
         for n in [1usize, 7, 32] {
             let obs: Vec<Vec<f64>> = (0..n)
                 .map(|i| (0..3).map(|j| ((i * 3 + j) as f64 * 0.23).cos()).collect())
@@ -1122,7 +1105,7 @@ mod tests {
             for (i, o) in obs.iter().enumerate() {
                 let mut r1 = ChaCha8Rng::seed_from_u64(60 + i as u64);
                 let mut r2 = r1.clone();
-                let single = agent.act_frozen(o, &mut r1).unwrap();
+                let single = agent.act(o, &mut r1).unwrap();
                 let from_batch = agent.sample_frozen_row(&batch, i, &mut r2).unwrap();
                 let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(

@@ -637,10 +637,8 @@ fn inference_loop(shared: Arc<Shared>) {
                     infer_start,
                     infer_end: Instant::now(),
                 };
-                for (pending, freqs) in live.into_iter().zip(all_freqs) {
-                    // A receiver gone (client thread died) is not an error.
-                    let _ = pending.tx.send(Ok((loaded.seq, freqs, timing)));
-                }
+                // Count the batch before any reply leaves: a client that
+                // reads `stats` right after its answer must see it counted.
                 shared.metrics.batches.inc();
                 shared.metrics.decisions.add(n);
                 shared.metrics.batch_size.observe(n as f64);
@@ -648,6 +646,10 @@ fn inference_loop(shared: Arc<Shared>) {
                     .metrics
                     .max_batch_seen
                     .fetch_max(n, Ordering::Relaxed);
+                for (pending, freqs) in live.into_iter().zip(all_freqs) {
+                    // A receiver gone (client thread died) is not an error.
+                    let _ = pending.tx.send(Ok((loaded.seq, freqs, timing)));
+                }
             }
             Err(e) => {
                 // Dims are validated before enqueue and the digest pin

@@ -178,6 +178,28 @@ fn metrics_op_serves_prometheus_exposition() {
     server.shutdown();
 }
 
+/// The batch loop counts a batch before it replies, so `stats` read right
+/// after an answered `decide` on the same connection always includes it.
+#[test]
+fn stats_count_every_answered_decide() {
+    let (server, _rec, rows) = traced_server("trace-count", ServeOptions::default());
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for answered in 1..=400u64 {
+        client
+            .decide(&rows[answered as usize % rows.len()])
+            .unwrap();
+        let stats = client.stats().unwrap();
+        assert_eq!(
+            stats.decisions, answered,
+            "stats lag the replies after {answered} decides"
+        );
+    }
+    server.shutdown();
+}
+
 #[test]
 fn scrape_listener_answers_http_and_raw_tcp() {
     let opts = ServeOptions {
