@@ -159,7 +159,7 @@ pub fn ops() -> Vec<KernelOp> {
     }
     // Batched rollout forward: the blocked slot runs ONE `32 x obs` policy
     // mean + value forward (what the rollout engine does per step for a
-    // 32-env fleet), the naive slot the same work as 32 single-row
+    // 32-env fleet), the naive slot the same work as 32 one-row
     // forwards. Row bits are identical either way; the speedup is the
     // per-call overhead amortization the batched rollout buys. Kernel
     // family is pinned to Blocked in both slots.
@@ -177,8 +177,9 @@ pub fn ops() -> Vec<KernelOp> {
                 }
                 KernelKind::Naive => {
                     for r in 0..obs.rows() {
-                        black_box(policy.mean_action(obs.row(r)).unwrap());
-                        black_box(value.predict(obs.row(r)).unwrap());
+                        let row = Matrix::row_vector(obs.row(r));
+                        black_box(policy.mean_actions(&row).unwrap());
+                        black_box(value.predict_batch(&row).unwrap());
                     }
                 }
             }),

@@ -428,11 +428,6 @@ impl FrequencyController for OracleController {
 
 // ---------------------------------------------------------------------------
 
-/// Device-row chunk for broadcast inference on a fleet: bounds peak memory
-/// of [`DrlController::decide_fleet`] to `8192 x in_dim` regardless of `N`
-/// (chunking is bit-neutral — see `GaussianPolicy::mean_action_chunked`).
-const FLEET_CHUNK_ROWS: usize = 8192;
-
 /// The trained DRL actor deployed for online reasoning (Section V-B2):
 /// state in, deterministic mean action out, squashed into frequencies.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -520,8 +515,9 @@ impl DrlController {
         self.decide_pooled(t_start, fleet, survival)
     }
 
-    /// The pooled decision body: observe the fleet's quantile summary (with
-    /// the survival tail when trained with one), then act on it.
+    /// The pooled decision: observe the fleet's quantile summary (with the
+    /// survival tail when trained with one), then decide it as a 1-row
+    /// [`DrlController::decide_rows`] batch.
     fn decide_pooled(&self, t_start: f64, fleet: &FleetSim, survival: f64) -> Result<Vec<f64>> {
         // The pooled obs width cannot catch a fleet-size mismatch (that is
         // the point of it), so check the action side.
@@ -535,33 +531,29 @@ impl DrlController {
         }
         let survival = self.participation_tail.then_some(survival);
         let obs = fleet.observe_pooled(t_start, self.slot_h, self.history_len, survival)?;
-        self.act(&obs, fleet)
+        Ok(self
+            .decide_rows(&[obs], &fleet.state().delta_max_ghz)?
+            .remove(0))
     }
 
-    /// Normalizes `obs` with the frozen statistics, runs the deterministic
-    /// actor (in bounded row chunks for broadcast policies — chunking is
-    /// bit-neutral) and squashes each output into its device's cap.
-    fn act(&self, obs: &[f64], fleet: &FleetSim) -> Result<Vec<f64>> {
-        if obs.len() != self.policy.obs_dim() {
-            return Err(CtrlError::InvalidArgument(format!(
-                "fleet produces obs dim {}, controller trained for {}",
-                obs.len(),
-                self.policy.obs_dim()
-            )));
-        }
-        let norm = self.obs_norm.normalize(obs);
-        let raw = if self.policy.is_broadcast() {
-            self.policy.mean_action_chunked(&norm, FLEET_CHUNK_ROWS)
-        } else {
-            self.policy.mean_action(&norm)
-        }
-        .map_err(CtrlError::from)?;
-        Ok(fleet
-            .state()
-            .delta_max_ghz
-            .iter()
-            .zip(&raw)
-            .map(|(&cap, &a)| squash_to_freq(a, cap, self.min_freq_frac))
+    /// The one decision body, batched: whitens `rows` with the frozen
+    /// statistics (every row's width is checked), runs the deterministic
+    /// actor over them in one [`GaussianPolicy::mean_actions`] call, and
+    /// squashes output `d` of each row into `(0, caps[d]]`. Row `i` of the
+    /// result is bit-identical to deciding row `i` alone, and a broadcast
+    /// policy bound to a large fleet runs in bounded row chunks.
+    pub fn decide_rows<R: AsRef<[f64]>>(&self, rows: &[R], caps: &[f64]) -> Result<Vec<Vec<f64>>> {
+        let norm = self.obs_norm.normalize_batch(rows)?;
+        let means = self.policy.mean_actions(&norm)?;
+        Ok((0..means.rows())
+            .map(|r| {
+                means
+                    .row(r)
+                    .iter()
+                    .zip(caps)
+                    .map(|(&a, &cap)| squash_to_freq(a, cap, self.min_freq_frac))
+                    .collect()
+            })
             .collect())
     }
 
@@ -570,8 +562,7 @@ impl DrlController {
         &self.policy
     }
 
-    /// The observation normalizer frozen at training time (the serving path
-    /// applies it outside [`FrequencyController::decide`]).
+    /// The observation normalizer frozen at training time.
     pub fn obs_norm(&self) -> &RunningNorm {
         &self.obs_norm
     }
@@ -621,7 +612,9 @@ impl FrequencyController for DrlController {
                         None => obs.resize(obs.len() + n, 1.0),
                     }
                 }
-                self.act(&obs, sys.fleet())
+                Ok(self
+                    .decide_rows(&[obs], &sys.fleet().state().delta_max_ghz)?
+                    .remove(0))
             }
             ObsMode::Pooled => {
                 let survival = prev.map_or(1.0, |r| r.survivors() as f64 / n as f64);
@@ -837,5 +830,34 @@ mod tests {
         let norm = RunningNorm::new(10, 10.0);
         let mut c = DrlController::new(policy, norm, 10.0, 4, 0.1).unwrap();
         assert!(c.decide(0, 100.0, &sys, None).is_err());
+    }
+
+    /// The fleet-side decision paths reject an observation one column too
+    /// wide or too narrow: `decide` in both observation modes and
+    /// `decide_fleet` (the serving path: `decide_rows_validates_dims`).
+    #[test]
+    fn drl_decisions_reject_obs_width_off_by_one() {
+        let sys = system(13, 3);
+        let h = 4usize;
+        let per_device = 3 * (h + 1);
+        let pooled = fl_sim::pooled_obs_dim(h, false);
+        let statics = crate::train::fleet_statics(sys.fleet().state(), sys.fleet().config().tau);
+        for delta in [0isize, -1, 1] {
+            let mut rng = ChaCha8Rng::seed_from_u64(14);
+            let w = per_device.checked_add_signed(delta).unwrap();
+            let policy = GaussianPolicy::new(w, &[8], 3, -0.5, &mut rng).unwrap();
+            let norm = RunningNorm::new(w, 10.0);
+            let mut c = DrlController::new(policy, norm, 10.0, h, 0.1).unwrap();
+            assert_eq!(c.decide(0, 200.0, &sys, None).is_ok(), delta == 0);
+
+            let w = pooled.checked_add_signed(delta).unwrap();
+            let policy =
+                GaussianPolicy::new_broadcast(w, statics.clone(), &[8], -0.5, &mut rng).unwrap();
+            let norm = RunningNorm::new(w, 10.0);
+            let mut c = DrlController::new(policy, norm, 10.0, h, 0.1).unwrap();
+            c.obs_mode = ObsMode::Pooled;
+            assert_eq!(c.decide_fleet(200.0, sys.fleet(), None).is_ok(), delta == 0);
+            assert_eq!(c.decide(0, 200.0, &sys, None).is_ok(), delta == 0);
+        }
     }
 }

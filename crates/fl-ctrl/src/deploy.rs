@@ -13,7 +13,7 @@
 //!   `min_freq_frac`, participation-tail flag),
 //! * the per-device frequency caps `δ_i^max` captured from the training
 //!   fleet — the one piece of system state the squash
-//!   ([`squash_to_freq`]) needs at decision time.
+//!   ([`crate::squash_to_freq`]) needs at decision time.
 //!
 //! Snapshots ride the existing `FLSNAP01` envelope through
 //! [`CheckpointStore`], so serving inherits the full crash-safety
@@ -21,17 +21,17 @@
 //! sequence numbers, CRC validation, and one-corrupt-slot fallback.
 //!
 //! [`ControllerSnapshot::decide_rows`] is the batched decision path: `n`
-//! observations in, `n` frequency vectors out of a *single* policy
-//! forward. The blocked kernels compute every output element with a
-//! row-count-independent operation sequence and the Welford normalizer is
-//! per-element, so row `i` of a batch is bit-identical to evaluating that
-//! observation alone — micro-batching in a server never changes served
-//! bits (`tests/serve_determinism.rs` enforces this).
+//! observations in, `n` frequency vectors out of
+//! [`DrlController::decide_rows`], the one decision body every deployed
+//! decision runs (normalize → one chunked policy forward → squash). The
+//! blocked kernels compute every output element with a row-count-independent
+//! operation sequence and the Welford normalizer is per-element, so row `i`
+//! of a batch is bit-identical to evaluating that observation alone —
+//! micro-batching in a server never changes served bits
+//! (`tests/serve_determinism.rs` enforces this).
 
 use crate::controllers::DrlController;
-use crate::flenv::squash_to_freq;
 use crate::{CtrlError, Result};
-use fl_nn::Matrix;
 use fl_rl::snapshot::{crc32, decode_payload, encode_payload, CheckpointStore};
 use fl_sim::FlSystem;
 use serde::{Deserialize, Serialize};
@@ -149,51 +149,14 @@ impl ControllerSnapshot {
         }
     }
 
-    /// Batched decision: one observation row in, one frequency vector out,
-    /// through a *single* policy forward (`[n x obs]` → `[n x actions]`).
-    ///
-    /// Each row is normalized with the frozen Welford statistics, the
-    /// batch runs through [`fl_rl::GaussianPolicy::mean_actions`], and raw
-    /// actions are squashed into `(0, δ_i^max]` with the caps captured at
-    /// export. Bit-identical per row to [`DrlController`]'s
-    /// `FrequencyController::decide` on the same observation.
+    /// Batched decision: one observation row in, one frequency vector out
+    /// ([`DrlController::decide_rows`] against the caps captured at export).
+    /// An empty batch decides nothing: serving paths that shed every queued
+    /// request before inference rely on this. Bit-identical per row to
+    /// [`DrlController`]'s `FrequencyController::decide` on the same
+    /// observation.
     pub fn decide_rows(&self, rows: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        // An empty batch has a well-defined answer: no decisions. Serving
-        // paths that shed every queued request before inference (deadline
-        // expiry) rely on this instead of special-casing upstream.
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        let obs_dim = self.obs_dim();
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != obs_dim {
-                return Err(CtrlError::InvalidArgument(format!(
-                    "observation {i} has dim {}, controller trained for {obs_dim}",
-                    row.len()
-                )));
-            }
-        }
-        let normed: Vec<Vec<f64>> = rows
-            .iter()
-            .map(|row| self.controller.obs_norm().normalize(row))
-            .collect();
-        let refs: Vec<&[f64]> = normed.iter().map(Vec::as_slice).collect();
-        let batch = Matrix::from_rows(&refs).map_err(CtrlError::from)?;
-        let means = self
-            .controller
-            .policy()
-            .mean_actions(&batch)
-            .map_err(CtrlError::from)?;
-        Ok((0..means.rows())
-            .map(|r| {
-                means
-                    .row(r)
-                    .iter()
-                    .zip(&self.delta_max_ghz)
-                    .map(|(&a, &cap)| squash_to_freq(a, cap, self.controller.min_freq_frac))
-                    .collect()
-            })
-            .collect())
+        self.controller.decide_rows(rows, &self.delta_max_ghz)
     }
 }
 
@@ -238,7 +201,7 @@ mod tests {
             let obs = sys
                 .observe_bandwidth_state(100.0 + 7.0 * k as f64, 10.0, h)
                 .unwrap();
-            norm.update(&obs);
+            norm.update(&obs).unwrap();
         }
         let ctrl = DrlController::new(policy, norm, 10.0, h, 0.1).unwrap();
         let snap = ControllerSnapshot::from_system(ctrl, &sys).unwrap();

@@ -478,7 +478,7 @@ impl Matrix {
     /// `FL_KERNEL=naive`, the streaming reference kernel — both produce
     /// bit-identical results; see `kernels`), and splits the row range
     /// across the shared work-stealing pool (`FL_WORKERS` bounds the
-    /// width) when the shape-only [`par_dispatch`] predicate fires.
+    /// width) when the shape-only `par_dispatch` predicate fires.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         self.matmul_impl(other, kernels::kernel_kind(), true)
     }

@@ -54,7 +54,7 @@ pub use env::{Environment, SnapshotEnv, Step};
 pub use error::RlError;
 pub use normalize::RunningNorm;
 pub use policy::{GaussianPolicy, MeanArch};
-pub use ppo::{PpoAgent, PpoConfig, UpdateStats};
+pub use ppo::{ActOutput, FrozenBatch, PpoAgent, PpoConfig, UpdateStats};
 pub use value::ValueNet;
 
 /// Convenience alias for results in this crate.

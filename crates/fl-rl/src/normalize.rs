@@ -1,5 +1,7 @@
 //! Running observation normalization (Welford's algorithm).
 
+use crate::{Result, RlError};
+use fl_nn::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// Online per-dimension mean/variance tracker used to whiten observations.
@@ -55,10 +57,11 @@ impl RunningNorm {
             .collect()
     }
 
-    /// Absorbs one observation (Welford update).
+    /// Absorbs one observation (Welford update). Errors on a width other
+    /// than [`RunningNorm::dim`].
     #[allow(clippy::needless_range_loop)] // lockstep update of two fields
-    pub fn update(&mut self, obs: &[f64]) {
-        debug_assert_eq!(obs.len(), self.mean.len());
+    pub fn update(&mut self, obs: &[f64]) -> Result<()> {
+        self.check_width(0, obs)?;
         self.count += 1.0;
         for i in 0..self.mean.len() {
             let delta = obs[i] - self.mean[i];
@@ -66,21 +69,38 @@ impl RunningNorm {
             let delta2 = obs[i] - self.mean[i];
             self.m2[i] += delta * delta2;
         }
+        Ok(())
     }
 
-    /// Whitens an observation with the current statistics.
-    pub fn normalize(&self, obs: &[f64]) -> Vec<f64> {
+    /// Whitens a batch of observations with the current statistics, one
+    /// matrix row per observation. Errors on any row whose width is not
+    /// [`RunningNorm::dim`].
+    pub fn normalize_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Result<Matrix> {
         let std = self.std();
-        obs.iter()
-            .zip(self.mean.iter().zip(&std))
-            .map(|(&x, (&m, &s))| ((x - m) / s).clamp(-self.clip, self.clip))
-            .collect()
+        let mut out = Matrix::zeros(rows.len(), self.dim());
+        for (i, row) in rows.iter().enumerate() {
+            let row = row.as_ref();
+            self.check_width(i, row)?;
+            for (z, (&x, (&m, &s))) in out
+                .row_mut(i)
+                .iter_mut()
+                .zip(row.iter().zip(self.mean.iter().zip(&std)))
+            {
+                *z = ((x - m) / s).clamp(-self.clip, self.clip);
+            }
+        }
+        Ok(out)
     }
 
-    /// Convenience: update then normalize.
-    pub fn update_and_normalize(&mut self, obs: &[f64]) -> Vec<f64> {
-        self.update(obs);
-        self.normalize(obs)
+    fn check_width(&self, i: usize, obs: &[f64]) -> Result<()> {
+        if obs.len() != self.dim() {
+            return Err(RlError::InvalidArgument(format!(
+                "observation {i} has dim {}, expected {}",
+                obs.len(),
+                self.dim()
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -88,6 +108,11 @@ impl RunningNorm {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One observation through the batch normalizer.
+    fn whiten(n: &RunningNorm, obs: &[f64]) -> Vec<f64> {
+        n.normalize_batch(&[obs]).unwrap().into_data()
+    }
 
     #[test]
     fn matches_batch_statistics() {
@@ -99,7 +124,7 @@ mod tests {
         ];
         let mut n = RunningNorm::new(2, 10.0);
         for d in &data {
-            n.update(d);
+            n.update(d).unwrap();
         }
         assert_eq!(n.count(), 4.0);
         assert!((n.mean()[0] - 2.5).abs() < 1e-12);
@@ -111,18 +136,18 @@ mod tests {
     #[test]
     fn normalize_before_data_is_identityish() {
         let n = RunningNorm::new(2, 5.0);
-        assert_eq!(n.normalize(&[1.0, -2.0]), vec![1.0, -2.0]);
+        assert_eq!(whiten(&n, &[1.0, -2.0]), vec![1.0, -2.0]);
     }
 
     #[test]
     fn clipping_applies() {
         let mut n = RunningNorm::new(1, 2.0);
         for x in [0.0, 1.0, 0.5, 0.6] {
-            n.update(&[x]);
+            n.update(&[x]).unwrap();
         }
-        let z = n.normalize(&[1000.0]);
+        let z = whiten(&n, &[1000.0]);
         assert_eq!(z[0], 2.0);
-        let z = n.normalize(&[-1000.0]);
+        let z = whiten(&n, &[-1000.0]);
         assert_eq!(z[0], -2.0);
     }
 
@@ -130,11 +155,30 @@ mod tests {
     fn constant_dimension_does_not_divide_by_zero() {
         let mut n = RunningNorm::new(1, 10.0);
         for _ in 0..5 {
-            n.update(&[3.0]);
+            n.update(&[3.0]).unwrap();
         }
-        let z = n.normalize(&[3.0]);
+        let z = whiten(&n, &[3.0]);
         assert!(z[0].is_finite());
         assert!(z[0].abs() < 1e-6);
+    }
+
+    /// Every row is checked: a row of the wrong width fails the whole batch
+    /// (no silent truncation or padding), and neither call mutates state.
+    #[test]
+    fn width_mismatch_is_an_error() {
+        let mut n = RunningNorm::new(2, 10.0);
+        n.update(&[1.0, 2.0]).unwrap();
+        let before = n.clone();
+        assert!(n.update(&[1.0, 2.0, 3.0]).is_err());
+        assert!(n.update(&[1.0]).is_err());
+        assert_eq!(n, before);
+        assert!(n
+            .normalize_batch(&[vec![0.5, -0.5], vec![0.5, -0.5, 99.0]])
+            .is_err());
+        assert!(n.normalize_batch(&[vec![0.5]]).is_err());
+        let batch = n.normalize_batch(&[[0.5, -0.5], [1.5, 2.5]]).unwrap();
+        assert_eq!(batch.shape(), (2, 2));
+        assert_eq!(batch.row(1), whiten(&n, &[1.5, 2.5]).as_slice());
     }
 
     proptest! {
@@ -147,9 +191,9 @@ mod tests {
             let mut n = RunningNorm::new(1, 10.0);
             let xs: Vec<f64> = (0..500).map(|_| rng.gen_range(5.0..9.0)).collect();
             for x in &xs {
-                n.update(&[*x]);
+                n.update(&[*x]).unwrap();
             }
-            let zs: Vec<f64> = xs.iter().map(|x| n.normalize(&[*x])[0]).collect();
+            let zs: Vec<f64> = xs.iter().map(|x| whiten(&n, &[*x])[0]).collect();
             let mean = zs.iter().sum::<f64>() / zs.len() as f64;
             let var = zs.iter().map(|z| (z - mean) * (z - mean)).sum::<f64>() / zs.len() as f64;
             prop_assert!(mean.abs() < 0.05, "mean={mean}");

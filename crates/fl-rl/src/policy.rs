@@ -4,6 +4,8 @@ use crate::{Result, RlError};
 use fl_nn::{Activation, Matrix, Mlp};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Bounds applied to the log standard deviation parameters. Projection back
 /// into this interval after each optimizer step keeps exploration noise in
@@ -200,7 +202,7 @@ impl GaussianPolicy {
     /// per-device statics (and hence a new action dimension). The log-std
     /// vector is re-broadcast from its first entry — exploration noise is
     /// per-device state that does not transfer across fleets, but the
-    /// deterministic serving path ([`GaussianPolicy::mean_action`]) never
+    /// deterministic path ([`GaussianPolicy::mean_actions`]) never
     /// reads it, so deployment behaviour is exactly the trained network.
     pub fn with_fleet(&self, statics: Matrix) -> Result<Self> {
         match &self.arch {
@@ -298,128 +300,36 @@ impl GaussianPolicy {
         }
     }
 
-    /// For the shared architecture: expands an observation batch
-    /// (`n x N*F`) into the per-device input batch (`n*N x 4F+S`); rows are
-    /// ordered sample-major (`sample 0 device 0, sample 0 device 1, ...`).
-    ///
-    /// Each device sees its own feature block plus three fleet aggregates
-    /// per feature — mean, min, and max. The extremes matter because the
-    /// synchronized iteration is paced by the *straggler*: a device cannot
-    /// judge its slack without knowing how slow the slowest peer looks.
-    fn shared_input(
-        obs: &Matrix,
-        n_devices: usize,
-        feat_dim: usize,
-        statics: &Matrix,
-    ) -> Result<Matrix> {
-        if obs.cols() != n_devices * feat_dim {
+    /// Checks `obs`'s width and lays it out as the mean net's input rows.
+    fn net_input<'p, 'o>(&'p self, obs: &'o Matrix) -> Result<NetInput<'p, 'o>> {
+        if obs.cols() != self.obs_dim() {
             return Err(RlError::InvalidArgument(format!(
-                "obs width {} != n_devices*feat_dim {}",
+                "obs width {} != policy obs_dim {}",
                 obs.cols(),
-                n_devices * feat_dim
+                self.obs_dim()
             )));
         }
-        let s = statics.cols();
-        let width = 4 * feat_dim + s;
-        let mut out = Matrix::zeros(obs.rows() * n_devices, width);
-        let mut mean = vec![0.0; feat_dim];
-        let mut min = vec![0.0; feat_dim];
-        let mut max = vec![0.0; feat_dim];
-        for r in 0..obs.rows() {
-            let row = obs.row(r);
-            for f in 0..feat_dim {
-                mean[f] = 0.0;
-                min[f] = f64::INFINITY;
-                max[f] = f64::NEG_INFINITY;
-            }
-            for d in 0..n_devices {
-                for f in 0..feat_dim {
-                    let v = row[d * feat_dim + f];
-                    mean[f] += v;
-                    min[f] = min[f].min(v);
-                    max[f] = max[f].max(v);
-                }
-            }
-            for m in mean.iter_mut() {
-                *m /= n_devices as f64;
-            }
-            for d in 0..n_devices {
-                let orow = out.row_mut(r * n_devices + d);
-                orow[..feat_dim].copy_from_slice(&row[d * feat_dim..(d + 1) * feat_dim]);
-                orow[feat_dim..2 * feat_dim].copy_from_slice(&mean);
-                orow[2 * feat_dim..3 * feat_dim].copy_from_slice(&min);
-                orow[3 * feat_dim..4 * feat_dim].copy_from_slice(&max);
-                orow[4 * feat_dim..].copy_from_slice(statics.row(d));
-            }
-        }
-        Ok(out)
-    }
-
-    /// For the broadcast architecture: expands a pooled observation batch
-    /// (`n x obs_dim`) into the per-device input batch
-    /// (`n*N x obs_dim+S`); rows are ordered sample-major. Every device of a
-    /// sample sees the *same* pooled fleet summary next to its own statics —
-    /// device identity enters only through the statics row.
-    fn broadcast_input(
-        obs: &Matrix,
-        n_devices: usize,
-        obs_dim: usize,
-        statics: &Matrix,
-    ) -> Result<Matrix> {
-        if obs.cols() != obs_dim {
-            return Err(RlError::InvalidArgument(format!(
-                "obs width {} != pooled obs_dim {}",
-                obs.cols(),
-                obs_dim
-            )));
-        }
-        let width = obs_dim + statics.cols();
-        let mut out = Matrix::zeros(obs.rows() * n_devices, width);
-        for r in 0..obs.rows() {
-            let row = obs.row(r);
-            for d in 0..n_devices {
-                let orow = out.row_mut(r * n_devices + d);
-                orow[..obs_dim].copy_from_slice(row);
-                orow[obs_dim..].copy_from_slice(statics.row(d));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Reshapes the shared net's `(n*N) x 1` output into `n x N` means.
-    /// Row-major layout makes this a pure reinterpretation of the flat
-    /// data — no per-element gathering.
-    fn fold_shared_output(flat: Matrix, n: usize, n_devices: usize) -> Matrix {
-        debug_assert_eq!(flat.shape(), (n * n_devices, 1));
-        Matrix::from_vec(n, n_devices, flat.into_data())
-            .expect("(n*N) x 1 output reshapes to n x N")
-    }
-
-    /// Inference-path mean batch for any architecture.
-    fn infer_means(&self, obs: &Matrix) -> Result<Matrix> {
-        match &self.arch {
-            MeanArch::Joint(net) => Ok(net.infer(obs)?),
+        let layout = match &self.arch {
+            MeanArch::Joint(_) => Layout::Joint,
             MeanArch::Shared {
-                net,
                 n_devices,
                 feat_dim,
                 statics,
-            } => {
-                let input = Self::shared_input(obs, *n_devices, *feat_dim, statics)?;
-                let flat = net.infer(&input)?;
-                Ok(Self::fold_shared_output(flat, obs.rows(), *n_devices))
-            }
-            MeanArch::Broadcast {
-                net,
-                n_devices,
-                obs_dim,
+                ..
+            } => Layout::Shared {
+                n_devices: *n_devices,
+                feat_dim: *feat_dim,
+                aggs: fleet_aggregates(obs, *n_devices, *feat_dim),
                 statics,
-            } => {
-                let input = Self::broadcast_input(obs, *n_devices, *obs_dim, statics)?;
-                let flat = net.infer(&input)?;
-                Ok(Self::fold_shared_output(flat, obs.rows(), *n_devices))
-            }
-        }
+            },
+            MeanArch::Broadcast {
+                n_devices, statics, ..
+            } => Layout::Broadcast {
+                n_devices: *n_devices,
+                statics,
+            },
+        };
+        Ok(NetInput { obs, layout })
     }
 
     /// Current per-dimension standard deviations.
@@ -445,76 +355,39 @@ impl GaussianPolicy {
         }
     }
 
-    /// Deterministic action: the Gaussian mean at `obs` (used for
-    /// evaluation / online reasoning where the paper uses the trained actor
-    /// directly).
-    pub fn mean_action(&self, obs: &[f64]) -> Result<Vec<f64>> {
-        let m = self.infer_means(&Matrix::row_vector(obs))?;
-        Ok(m.row(0).to_vec())
-    }
-
-    /// Batched deterministic actions: one Gaussian-mean row per observation
-    /// row of `obs` (`n x obs_dim` in, `n x action_dim` out).
+    /// Deterministic actions, the only frozen-actor forward: one
+    /// Gaussian-mean row per observation row of `obs` (`n x obs_dim` in,
+    /// `n x action_dim` out). Evaluation, rollout collection, serving and
+    /// fleet decisions all act through it — Section V-B2's "we only use the
+    /// trained actor network to generate its action".
     ///
-    /// This is the serving-path entry point: a decision server stacks
-    /// concurrent observations into one forward batch. The blocked kernels
+    /// The architecture's input rows (one per observation for Joint, `N`
+    /// sample-major device rows per observation for Shared and Broadcast)
+    /// run through the network in chunks of at most 8192 rows, so a
+    /// 10⁶-device fleet never materializes its full input batch. The kernels
     /// compute each output element with a row-count-independent operation
-    /// sequence, so row `i` of the batch is bit-identical to
-    /// [`GaussianPolicy::mean_action`] on that row alone — micro-batching
-    /// never changes served bits.
+    /// sequence, so neither batching nor chunking changes a bit: row `i` of
+    /// the result equals a 1-row call on observation `i` alone.
     pub fn mean_actions(&self, obs: &Matrix) -> Result<Matrix> {
-        self.infer_means(obs)
+        self.mean_actions_chunked(obs, CHUNK_ROWS)
     }
 
-    /// Broadcast-only deterministic action, computed in row chunks of at
-    /// most `chunk_rows` devices so a 10⁶-device fleet never materializes
-    /// the full `N x (obs_dim+S)` input batch at once.
-    ///
-    /// Bit-identical to [`GaussianPolicy::mean_action`] on the same pooled
-    /// observation: the blocked kernels compute each output element with a
-    /// row-count-independent operation sequence, so splitting the device
-    /// batch into chunks never changes a bit.
-    pub fn mean_action_chunked(&self, obs: &[f64], chunk_rows: usize) -> Result<Vec<f64>> {
-        let MeanArch::Broadcast {
-            net,
-            n_devices,
-            obs_dim,
-            statics,
-        } = &self.arch
-        else {
-            return Err(RlError::InvalidArgument(
-                "mean_action_chunked requires the broadcast architecture".to_string(),
-            ));
-        };
-        if obs.len() != *obs_dim {
-            return Err(RlError::InvalidArgument(format!(
-                "obs width {} != pooled obs_dim {obs_dim}",
-                obs.len()
-            )));
+    /// [`GaussianPolicy::mean_actions`] with an explicit chunk size.
+    fn mean_actions_chunked(&self, obs: &Matrix, chunk_rows: usize) -> Result<Matrix> {
+        let input = self.net_input(obs)?;
+        let (net, total) = (self.mean_net(), input.len());
+        let mut means = Vec::with_capacity(obs.rows() * self.action_dim());
+        for start in (0..total).step_by(chunk_rows) {
+            let end = total.min(start + chunk_rows);
+            means.extend_from_slice(net.infer(&*input.rows(start, end)?)?.data());
         }
-        let chunk = chunk_rows.max(1);
-        let width = obs_dim + statics.cols();
-        let mut means = Vec::with_capacity(*n_devices);
-        let mut d0 = 0usize;
-        while d0 < *n_devices {
-            let rows = chunk.min(*n_devices - d0);
-            let mut input = Matrix::zeros(rows, width);
-            for i in 0..rows {
-                let row = input.row_mut(i);
-                row[..*obs_dim].copy_from_slice(obs);
-                row[*obs_dim..].copy_from_slice(statics.row(d0 + i));
-            }
-            let out = net.infer(&input)?;
-            means.extend((0..rows).map(|i| out.row(i)[0]));
-            d0 += rows;
-        }
-        Ok(means)
+        Ok(Matrix::from_vec(obs.rows(), self.action_dim(), means)?)
     }
 
     /// Samples `a ~ N(mean, σ²)` around a precomputed mean and returns
     /// `(action, log_prob)`. The mean comes from a batched forward, so one
     /// forward serves many environments while each draws its noise from its
-    /// own RNG stream: per dimension one [`gaussian`] draw (two
+    /// own RNG stream: per dimension one Box–Muller `gaussian` draw (two
     /// `rng.gen::<f64>()` calls), `mean + std * noise`, then
     /// [`GaussianPolicy::log_prob_given_mean`].
     pub fn sample_with_mean(&self, mean: &[f64], rng: &mut impl Rng) -> (Vec<f64>, f64) {
@@ -541,12 +414,6 @@ impl GaussianPolicy {
         lp
     }
 
-    /// Log-probability of `obs`'s action under the *current* parameters.
-    pub fn log_prob(&self, obs: &[f64], action: &[f64]) -> Result<f64> {
-        let mean = self.mean_action(obs)?;
-        Ok(self.log_prob_given_mean(&mean, action))
-    }
-
     /// Batched log-probabilities given a precomputed mean batch.
     pub fn log_prob_batch(&self, means: &Matrix, actions: &Matrix) -> Result<Vec<f64>> {
         if means.shape() != actions.shape() || means.cols() != self.action_dim() {
@@ -569,30 +436,18 @@ impl GaussianPolicy {
     }
 
     /// Training forward pass: computes the mean batch with gradient caches.
+    /// Same input rows as [`GaussianPolicy::mean_actions`], in one batch.
     pub fn forward_means(&mut self, obs: &Matrix) -> Result<Matrix> {
-        match &mut self.arch {
-            MeanArch::Joint(net) => Ok(net.try_forward(obs)?),
-            MeanArch::Shared {
-                net,
-                n_devices,
-                feat_dim,
-                statics,
-            } => {
-                let input = Self::shared_input(obs, *n_devices, *feat_dim, statics)?;
-                let flat = net.try_forward(&input)?;
-                Ok(Self::fold_shared_output(flat, obs.rows(), *n_devices))
-            }
-            MeanArch::Broadcast {
-                net,
-                n_devices,
-                obs_dim,
-                statics,
-            } => {
-                let input = Self::broadcast_input(obs, *n_devices, *obs_dim, statics)?;
-                let flat = net.try_forward(&input)?;
-                Ok(Self::fold_shared_output(flat, obs.rows(), *n_devices))
-            }
-        }
+        let input = {
+            let input = self.net_input(obs)?;
+            input.rows(0, input.len())?
+        };
+        let flat = self.mean_net_mut().try_forward(&input)?;
+        Ok(Matrix::from_vec(
+            obs.rows(),
+            self.action_dim(),
+            flat.into_data(),
+        )?)
     }
 
     /// Accumulates gradients of a scalar loss `L` given `∂L/∂logp_i` for each
@@ -685,6 +540,126 @@ impl GaussianPolicy {
     }
 }
 
+/// Largest number of network input rows one inference forward builds
+/// (chunking is bit-neutral; see [`GaussianPolicy::mean_actions`]).
+const CHUNK_ROWS: usize = 8192;
+
+/// An observation batch laid out as the mean net's input rows: Joint rows
+/// pass through; Shared and Broadcast expand each observation into `N`
+/// device rows, sample-major (`sample 0 device 0, sample 0 device 1, ...`).
+struct NetInput<'p, 'o> {
+    obs: &'o Matrix,
+    layout: Layout<'p>,
+}
+
+enum Layout<'p> {
+    Joint,
+    /// Device `d` of sample `r` sees its own feature block, the sample's
+    /// fleet aggregates `aggs.row(r)` and `statics.row(d)`.
+    Shared {
+        n_devices: usize,
+        feat_dim: usize,
+        aggs: Matrix,
+        statics: &'p Matrix,
+    },
+    /// Device `d` of sample `r` sees the whole pooled row `r` next to
+    /// `statics.row(d)` — device identity enters only through the statics.
+    Broadcast {
+        n_devices: usize,
+        statics: &'p Matrix,
+    },
+}
+
+impl<'o> NetInput<'_, 'o> {
+    /// Input rows in the whole expanded batch.
+    fn len(&self) -> usize {
+        match &self.layout {
+            Layout::Joint => self.obs.rows(),
+            Layout::Shared { n_devices, .. } | Layout::Broadcast { n_devices, .. } => {
+                self.obs.rows() * n_devices
+            }
+        }
+    }
+
+    /// Input rows `start..end` of the expanded batch; a chunk may start and
+    /// end mid-sample.
+    fn rows(&self, start: usize, end: usize) -> Result<Cow<'o, Matrix>> {
+        let obs = self.obs;
+        Ok(match &self.layout {
+            Layout::Joint if start == 0 && end == obs.rows() => Cow::Borrowed(obs),
+            Layout::Joint => Cow::Owned(obs.slice_rows(start, end)?),
+            Layout::Shared {
+                n_devices,
+                feat_dim: f,
+                aggs,
+                statics,
+            } => Cow::Owned(device_rows(
+                start..end,
+                *n_devices,
+                4 * f,
+                statics,
+                |row, r, d| {
+                    row[..*f].copy_from_slice(&obs.row(r)[d * f..(d + 1) * f]);
+                    row[*f..].copy_from_slice(aggs.row(r));
+                },
+            )),
+            Layout::Broadcast { n_devices, statics } => Cow::Owned(device_rows(
+                start..end,
+                *n_devices,
+                obs.cols(),
+                statics,
+                |row, r, _| row.copy_from_slice(obs.row(r)),
+            )),
+        })
+    }
+}
+
+/// Builds device rows `range` of a sample-major expansion: `head` fills the
+/// first `head_width` columns of row (sample `r`, device `d`), and
+/// `statics.row(d)` fills the rest.
+fn device_rows(
+    range: Range<usize>,
+    n_devices: usize,
+    head_width: usize,
+    statics: &Matrix,
+    mut head: impl FnMut(&mut [f64], usize, usize),
+) -> Matrix {
+    let mut out = Matrix::zeros(range.len(), head_width + statics.cols());
+    for (i, j) in range.enumerate() {
+        let (r, d) = (j / n_devices, j % n_devices);
+        let (lead, tail) = out.row_mut(i).split_at_mut(head_width);
+        head(lead, r, d);
+        tail.copy_from_slice(statics.row(d));
+    }
+    out
+}
+
+/// The shared architecture's per-sample fleet aggregates: one
+/// `mean | min | max` row (`3F` wide) per observation, accumulated in device
+/// order. The extremes matter because the synchronized iteration is paced by
+/// the *straggler*: a device cannot judge its slack without knowing how slow
+/// the slowest peer looks.
+fn fleet_aggregates(obs: &Matrix, n_devices: usize, feat_dim: usize) -> Matrix {
+    let mut aggs = Matrix::zeros(obs.rows(), 3 * feat_dim);
+    for r in 0..obs.rows() {
+        let (mean, extremes) = aggs.row_mut(r).split_at_mut(feat_dim);
+        let (min, max) = extremes.split_at_mut(feat_dim);
+        min.fill(f64::INFINITY);
+        max.fill(f64::NEG_INFINITY);
+        for device in obs.row(r).chunks_exact(feat_dim) {
+            for (f, &v) in device.iter().enumerate() {
+                mean[f] += v;
+                min[f] = min[f].min(v);
+                max[f] = max[f].max(v);
+            }
+        }
+        for m in mean.iter_mut() {
+            *m /= n_devices as f64;
+        }
+    }
+    aggs
+}
+
 /// Standard normal sample via Box–Muller.
 fn gaussian(rng: &mut impl Rng) -> f64 {
     let u1: f64 = 1.0 - rng.gen::<f64>();
@@ -697,6 +672,13 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// One observation through [`GaussianPolicy::mean_actions`].
+    fn mean1(p: &GaussianPolicy, obs: &[f64]) -> Vec<f64> {
+        p.mean_actions(&Matrix::row_vector(obs))
+            .unwrap()
+            .into_data()
+    }
 
     fn policy(seed: u64) -> GaussianPolicy {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -744,9 +726,9 @@ mod tests {
         let p = policy(4);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let obs = [0.2, -0.1, 0.5];
-        let (a, lp) = p.sample_with_mean(&p.mean_action(&obs).unwrap(), &mut rng);
+        let (a, lp) = p.sample_with_mean(&mean1(&p, &obs), &mut rng);
         assert_eq!(a.len(), 2);
-        let lp2 = p.log_prob(&obs, &a).unwrap();
+        let lp2 = p.log_prob_given_mean(&mean1(&p, &obs), &a);
         assert!((lp - lp2).abs() < 1e-12);
     }
 
@@ -883,12 +865,12 @@ mod tests {
         let statics = Matrix::from_fn(3, 2, |_, c| c as f64 * 0.5);
         let p = GaussianPolicy::new_shared(3, 2, statics, &[6], -0.5, &mut rng).unwrap();
         let obs = vec![0.4, -0.1, 0.4, -0.1, 0.4, -0.1];
-        let m = p.mean_action(&obs).unwrap();
+        let m = mean1(&p, &obs);
         assert!((m[0] - m[1]).abs() < 1e-12);
         assert!((m[1] - m[2]).abs() < 1e-12);
         // Different feature block -> different mean.
         let obs2 = vec![0.4, -0.1, 0.9, 0.3, 0.4, -0.1];
-        let m2 = p.mean_action(&obs2).unwrap();
+        let m2 = mean1(&p, &obs2);
         assert!((m2[0] - m2[2]).abs() < 1e-12);
         assert!((m2[0] - m2[1]).abs() > 1e-6);
     }
@@ -898,7 +880,7 @@ mod tests {
         let mut p = shared_policy(43);
         let obs = Matrix::from_fn(4, 6, |r, c| ((r * 6 + c) as f64 * 0.17).sin());
         let trained = p.forward_means(&obs).unwrap();
-        let inferred = p.infer_means(&obs).unwrap();
+        let inferred = p.mean_actions(&obs).unwrap();
         assert_eq!(trained, inferred);
         assert_eq!(trained.shape(), (4, 3));
     }
@@ -916,7 +898,7 @@ mod tests {
         let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
 
         let loss = |p: &GaussianPolicy| -> f64 {
-            let means = p.infer_means(&obs).unwrap();
+            let means = p.mean_actions(&obs).unwrap();
             let lps = p.log_prob_batch(&means, &actions).unwrap();
             lps.iter().zip(&weights).map(|(lp, w)| lp * w).sum()
         };
@@ -1008,7 +990,7 @@ mod tests {
         let statics = Matrix::from_fn(3, 2, |r, c| if r == 1 { 0.9 } else { c as f64 * 0.5 });
         let p = GaussianPolicy::new_broadcast(4, statics, &[6], -0.5, &mut rng).unwrap();
         let obs = vec![0.4, -0.1, 0.2, 0.7];
-        let m = p.mean_action(&obs).unwrap();
+        let m = mean1(&p, &obs);
         assert_eq!(m[0].to_bits(), m[2].to_bits());
         assert!((m[0] - m[1]).abs() > 1e-6);
     }
@@ -1018,28 +1000,35 @@ mod tests {
         let mut p = broadcast_policy(63);
         let obs = Matrix::from_fn(4, 5, |r, c| ((r * 5 + c) as f64 * 0.17).sin());
         let trained = p.forward_means(&obs).unwrap();
-        let inferred = p.infer_means(&obs).unwrap();
+        let inferred = p.mean_actions(&obs).unwrap();
         assert_eq!(trained, inferred);
         assert_eq!(trained.shape(), (4, 3));
     }
 
-    /// Chunked inference is the 10⁶-device serving path; it must be
-    /// bit-identical to the all-at-once batch for every chunk size.
+    /// Chunked inference is the 10⁶-device serving path; for every
+    /// architecture it must be bit-identical to one unchunked forward for
+    /// every chunk size — chunks that split a sample's device rows and chunks
+    /// that span samples alike.
     #[test]
     fn broadcast_chunked_mean_matches_batch_bitwise() {
-        let p = broadcast_policy(65);
-        let obs: Vec<f64> = (0..5).map(|i| (i as f64 * 0.23).cos()).collect();
-        let full = p.mean_action(&obs).unwrap();
-        for chunk in [1, 2, 3, 7, 64] {
-            let chunked = p.mean_action_chunked(&obs, chunk).unwrap();
-            assert_eq!(chunked.len(), full.len());
-            for (a, b) in chunked.iter().zip(&full) {
-                assert_eq!(a.to_bits(), b.to_bits(), "chunk={chunk}");
+        for p in [policy(65), shared_policy(65), broadcast_policy(65)] {
+            let dim = p.obs_dim();
+            let obs = Matrix::from_fn(4, dim, |r, c| ((r * dim + c) as f64 * 0.23).cos());
+            let total = p.net_input(&obs).unwrap().len();
+            let full = p.mean_actions_chunked(&obs, total).unwrap();
+            assert_eq!(full.shape(), (4, p.action_dim()));
+            let n = p.action_dim();
+            for chunk in [1, 3, 7, n, n + 1] {
+                let chunked = p.mean_actions_chunked(&obs, chunk).unwrap();
+                assert_eq!(chunked.shape(), full.shape());
+                for (a, b) in chunked.data().iter().zip(full.data()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "chunk={chunk}");
+                }
             }
+            // A wrong observation width is rejected, wider or narrower.
+            assert!(p.mean_actions(&Matrix::zeros(2, dim - 1)).is_err());
+            assert!(p.mean_actions(&Matrix::zeros(2, dim + 1)).is_err());
         }
-        // Wrong obs width and non-broadcast architectures are rejected.
-        assert!(p.mean_action_chunked(&obs[..4], 8).is_err());
-        assert!(policy(65).mean_action_chunked(&obs, 8).is_err());
     }
 
     /// The scale-invariance contract: rebinding to a larger fleet reuses the
@@ -1070,8 +1059,8 @@ mod tests {
             "with_fleet must not touch trained weights"
         );
         let obs: Vec<f64> = (0..5).map(|i| (i as f64 * 0.23).sin()).collect();
-        let m_old = p.mean_action(&obs).unwrap();
-        let m_new = q.mean_action(&obs).unwrap();
+        let m_old = mean1(&p, &obs);
+        let m_new = mean1(&q, &obs);
         assert_eq!(m_old[1].to_bits(), m_new[4].to_bits());
         // Rebinding with a mismatched statics width is rejected.
         assert!(p.with_fleet(Matrix::zeros(4, 3)).is_err());
@@ -1092,7 +1081,7 @@ mod tests {
         let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
 
         let loss = |p: &GaussianPolicy| -> f64 {
-            let means = p.infer_means(&obs).unwrap();
+            let means = p.mean_actions(&obs).unwrap();
             let lps = p.log_prob_batch(&means, &actions).unwrap();
             lps.iter().zip(&weights).map(|(lp, w)| lp * w).sum()
         };
@@ -1135,7 +1124,7 @@ mod tests {
             let batch = p.mean_actions(&obs).unwrap();
             assert_eq!(batch.shape(), (7, p.action_dim()));
             for r in 0..obs.rows() {
-                let single = p.mean_action(obs.row(r)).unwrap();
+                let single = mean1(&p, obs.row(r));
                 for (a, b) in batch.row(r).iter().zip(&single) {
                     assert_eq!(a.to_bits(), b.to_bits(), "row {r}");
                 }

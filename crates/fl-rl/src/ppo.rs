@@ -402,22 +402,6 @@ impl PpoAgent {
         )
     }
 
-    /// Normalizes an observation with the current (frozen) statistics.
-    pub fn normalize_obs(&self, obs: &[f64]) -> Vec<f64> {
-        self.obs_norm.normalize(obs)
-    }
-
-    fn check_obs(&self, obs: &[f64]) -> Result<()> {
-        if obs.len() != self.policy.obs_dim() {
-            return Err(RlError::InvalidArgument(format!(
-                "expected obs of dim {}, got {}",
-                self.policy.obs_dim(),
-                obs.len()
-            )));
-        }
-        Ok(())
-    }
-
     /// Samples an action from `θ_a^old` (Algorithm 1 line 12). Updates the
     /// observation statistics when in training mode, then acts exactly as
     /// one row of the rollout engine does: a 1-row
@@ -438,14 +422,7 @@ impl PpoAgent {
     /// deliberately *not* part of this call; see
     /// [`PpoAgent::sample_frozen_row`].
     pub fn forward_frozen_batch<R: AsRef<[f64]>>(&self, raw_obs: &[R]) -> Result<FrozenBatch> {
-        let d = self.policy.obs_dim();
-        let mut data = Vec::with_capacity(raw_obs.len() * d);
-        for obs in raw_obs {
-            let obs = obs.as_ref();
-            self.check_obs(obs)?;
-            data.extend(self.obs_norm.normalize(obs));
-        }
-        let norm_obs = Matrix::from_vec(raw_obs.len(), d, data)?;
+        let norm_obs = self.obs_norm.normalize_batch(raw_obs)?;
         let means = self.policy_old.mean_actions(&norm_obs)?;
         let values = self.value.predict_batch(&norm_obs)?;
         Ok(FrozenBatch {
@@ -484,9 +461,8 @@ impl PpoAgent {
     /// replays these updates at merge time, in environment order;
     /// [`PpoAgent::act`] absorbs before it acts.
     pub fn absorb_obs(&mut self, obs: &[f64]) -> Result<()> {
-        self.check_obs(obs)?;
         if self.training {
-            self.obs_norm.update(obs);
+            self.obs_norm.update(obs)?;
         }
         Ok(())
     }
@@ -495,14 +471,14 @@ impl PpoAgent {
     /// reasoning mode of Section V-B2 ("we only use the trained actor
     /// network to generate its action").
     pub fn act_mean(&self, obs: &[f64]) -> Result<Vec<f64>> {
-        let norm = self.obs_norm.normalize(obs);
-        self.policy.mean_action(&norm)
+        let norm = self.obs_norm.normalize_batch(&[obs])?;
+        Ok(self.policy.mean_actions(&norm)?.into_data())
     }
 
     /// Critic value for bootstrapping the final transition of a rollout.
     pub fn bootstrap_value(&self, obs: &[f64]) -> Result<f64> {
-        let norm = self.obs_norm.normalize(obs);
-        self.value.predict(&norm)
+        let norm = self.obs_norm.normalize_batch(&[obs])?;
+        Ok(self.value.predict_batch(&norm)?[0])
     }
 
     /// Runs the Algorithm-1 update on a full (or partial) buffer:
@@ -949,6 +925,21 @@ mod tests {
         let a1 = agent.act_mean(&[0.5, -0.5]).unwrap();
         let a2 = agent.act_mean(&[0.5, -0.5]).unwrap();
         assert_eq!(a1, a2);
+    }
+
+    /// Every inference entry point rejects an observation one column too
+    /// wide or too narrow instead of truncating or padding it.
+    #[test]
+    fn inference_rejects_obs_width_mismatch() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let agent = PpoAgent::new(2, 1, small_config(), &mut rng).unwrap();
+        assert!(agent.act_mean(&[0.5, -0.5]).is_ok());
+        for obs in [&[0.5][..], &[0.5, -0.5, 99.0]] {
+            assert!(agent.act_mean(obs).is_err(), "act_mean {obs:?}");
+            assert!(agent.bootstrap_value(obs).is_err(), "bootstrap {obs:?}");
+            assert!(agent.forward_frozen_batch(&[obs]).is_err());
+            assert!(agent.forward_frozen_batch(&[&[0.5, -0.5], obs]).is_err());
+        }
     }
 
     /// Fills a buffer from QuadEnv for update-path tests.

@@ -105,7 +105,7 @@ struct EnvSlot<E> {
     ep_steps: usize,
 }
 
-/// Serialized state of one environment slot — everything [`EnvSlot`] holds,
+/// Serialized state of one environment slot — everything an `EnvSlot` holds,
 /// with the environment flattened through [`SnapshotEnv`] and the RNG
 /// through [`RngState`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -38,12 +38,6 @@ impl ValueNet {
         &self.net
     }
 
-    /// Value of a single observation (inference path).
-    pub fn predict(&self, obs: &[f64]) -> Result<f64> {
-        let out = self.net.infer(&Matrix::row_vector(obs))?;
-        Ok(out.get(0, 0))
-    }
-
     /// Values of an observation batch (inference path). The critic head is
     /// a single column, so the network output *is* the value vector — moved
     /// out without the strided column copy.
@@ -76,8 +70,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let v = ValueNet::new(4, &[8, 8], &mut rng).unwrap();
         assert_eq!(v.obs_dim(), 4);
-        let x = v.predict(&[0.1, 0.2, 0.3, 0.4]).unwrap();
-        assert!(x.is_finite());
+        let x = v.predict_batch(&Matrix::row_vector(&[0.1, 0.2, 0.3, 0.4]));
+        assert!(x.unwrap()[0].is_finite());
         let batch = Matrix::zeros(5, 4);
         assert_eq!(v.predict_batch(&batch).unwrap().len(), 5);
         assert!(v.is_finite());

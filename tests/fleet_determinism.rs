@@ -9,12 +9,12 @@
 //! `IterationReport`) on the same devices.
 
 use fl_ctrl::{
-    build_system, train_drl, train_drl_parallel, train_drl_parallel_opt, CheckpointOptions,
-    EnvConfig, FrequencyController, ObsMode, ParallelConfig, PolicyArch, RunOptions, TrainConfig,
-    TrainOutput,
+    build_system, fleet_statics, train_drl, train_drl_parallel, train_drl_parallel_opt,
+    CheckpointOptions, ControllerSnapshot, DrlController, EnvConfig, FrequencyController, ObsMode,
+    ParallelConfig, PolicyArch, RunOptions, TrainConfig, TrainOutput,
 };
 use fl_net::synth::Profile;
-use fl_rl::PpoConfig;
+use fl_rl::{GaussianPolicy, PpoConfig, RunningNorm};
 use fl_sim::{
     pooled_obs_dim, pooled_observation, FaultModel, FaultPlan, FlConfig, FlSystem, FleetFaults,
     FleetRound, IterationReport,
@@ -224,6 +224,56 @@ fn fleet_decision_path_matches_system_overlap_and_rebinds() {
     }
     // The original 8-device binding must refuse the big fleet outright.
     assert!(ctrl.decide_fleet(60.0, &big_fleet, None).is_err());
+}
+
+/// The serve path (`ControllerSnapshot::decide_rows`) and the fleet path
+/// (`decide_fleet`) run one decision body. For a broadcast controller
+/// rebound to N = 20 000 devices — more device rows than one inference
+/// chunk holds — they agree bit for bit, on one-row batches and on a
+/// two-row batch whose chunk boundaries fall mid-sample.
+#[test]
+fn served_and_fleet_decisions_agree_across_inference_chunks() {
+    let sys = system(8, 5);
+    let mut rng = ChaCha8Rng::seed_from_u64(6);
+    let h = 3;
+    let obs_dim = pooled_obs_dim(h, false);
+    let statics = fleet_statics(sys.fleet().state(), sys.fleet().config().tau);
+    let policy = GaussianPolicy::new_broadcast(obs_dim, statics, &[16], -0.5, &mut rng).unwrap();
+    let mut norm = RunningNorm::new(obs_dim, 10.0);
+    for k in 0..12 {
+        let obs = sys.fleet().observe_pooled(40.0 * k as f64, 10.0, h, None);
+        norm.update(&obs.unwrap()).unwrap();
+    }
+    let mut ctrl = DrlController::new(policy, norm, 10.0, h, 0.1).unwrap();
+    ctrl.obs_mode = ObsMode::Pooled;
+
+    let n = 20_000;
+    let big = system(n, 7).fleet().clone();
+    let bound = ctrl.with_fleet_sim(&big).unwrap();
+    let snap = ControllerSnapshot::new(bound.clone(), big.max_freqs()).unwrap();
+    let times = [60.0, 245.5];
+    let rows: Vec<Vec<f64>> = times
+        .iter()
+        .map(|&t| big.observe_pooled(t, 10.0, h, None).unwrap())
+        .collect();
+    let served = snap.decide_rows(&rows).unwrap();
+    for (i, &t) in times.iter().enumerate() {
+        let fleet = bound.decide_fleet(t, &big, None).unwrap();
+        let single = snap.decide_rows(&rows[i..=i]).unwrap();
+        assert_eq!(fleet.len(), n);
+        for (d, ((a, b), c)) in served[i].iter().zip(&fleet).zip(&single[0]).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "row {i} device {d}: served vs fleet"
+            );
+            assert_eq!(
+                c.to_bits(),
+                b.to_bits(),
+                "row {i} device {d}: 1-row vs fleet"
+            );
+        }
+    }
 }
 
 fn temp_dir(tag: &str) -> PathBuf {

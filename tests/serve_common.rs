@@ -54,7 +54,7 @@ pub fn make_snapshot(seed: u64) -> (FlSystem, ControllerSnapshot) {
         let obs = sys
             .observe_bandwidth_state(100.0 + 7.0 * k as f64, SLOT_H, HIST)
             .unwrap();
-        norm.update(&obs);
+        norm.update(&obs).unwrap();
     }
     let ctrl = DrlController::new(policy, norm, SLOT_H, HIST, 0.1).unwrap();
     let snap = ControllerSnapshot::from_system(ctrl, &sys).unwrap();
