@@ -480,6 +480,57 @@ mod tests {
         assert_eq!(a.devices(), b.devices());
     }
 
+    /// FNV-1a over the bit patterns of `values`.
+    fn fnv_bits(values: &[f64]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// Golden bits of the pooled observation at fleet scale: 10⁴ devices
+    /// of `Scenario::scale50` (5 traces), 20 start times spread over the
+    /// trace, one digest per observation. Any change to how the fleet
+    /// observes — per-trace histories, count-based quantiles, cached
+    /// static summaries — must reproduce these exactly.
+    #[test]
+    fn observe_pooled_golden_scale50_n10000() {
+        const GOLDEN: [u64; 20] = [
+            0xba77902e985e5447,
+            0x3247798e64eb2454,
+            0x739500c35b70ff73,
+            0x8f3e628f4e84b9fb,
+            0x4f5ca8b0e8fa67dd,
+            0x0c78b7cc7e8ec06e,
+            0xb82b93735ea04ca9,
+            0xa1d73de36b5719a2,
+            0x465c8d7d96bd2a9b,
+            0xe3a5ff0f2e49f497,
+            0xc8df17235a6fdc96,
+            0xcd5b7dfb2ee0e471,
+            0xbf642dd78425d116,
+            0x17ddac6b59a8bd64,
+            0x21031aff20f41edb,
+            0x6de25513acbf5665,
+            0xa7599424d8e6f459,
+            0x278928dc0f40eab2,
+            0xcf1fbd8d5091c3a2,
+            0x2323e88ee4875d1b,
+        ];
+        let fleet = Scenario::scale50().build_fleet(10_000);
+        let digests: Vec<u64> = (0..20)
+            .map(|k| {
+                let t = 7.25 + 181.5 * k as f64;
+                let obs = fleet.observe_pooled(t, 10.0, 8, None).unwrap();
+                assert_eq!(obs.len(), fl_sim::pooled_obs_dim(8, false));
+                fnv_bits(&obs)
+            })
+            .collect();
+        assert_eq!(digests, GOLDEN, "digests: {digests:#018x?}");
+    }
+
     #[test]
     fn printers_do_not_panic() {
         let sys = Scenario::testbed().build();

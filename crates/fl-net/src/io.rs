@@ -148,4 +148,22 @@ mod tests {
     fn json_rejects_garbage() {
         assert!(from_json("not json").is_err());
     }
+
+    /// Decoding goes through `BandwidthTrace::new`: payloads the
+    /// constructor rejects are errors, never a trace that panics later.
+    #[test]
+    fn json_rejects_traces_the_constructor_rejects() {
+        for payload in [
+            r#"{"slot_duration":1.0,"slots":[1.0,-0.5],"cyclic":false}"#,
+            r#"{"slot_duration":0,"slots":[1.0],"cyclic":true}"#,
+            r#"{"slot_duration":1.0,"slots":[],"cyclic":true}"#,
+        ] {
+            assert!(from_json(payload).is_err(), "{payload}");
+        }
+        let set: std::result::Result<crate::TraceSet, _> = serde_json::from_str(r#"{"traces":[]}"#);
+        assert!(set.is_err());
+        let set: std::result::Result<crate::TraceSet, _> =
+            serde_json::from_str(r#"{"traces":[{"slot_duration":1.0,"slots":[],"cyclic":true}]}"#);
+        assert!(set.is_err());
+    }
 }

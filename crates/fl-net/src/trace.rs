@@ -18,7 +18,13 @@ use serde::{Deserialize, Serialize};
 /// Traces can be *cyclic* (wrap around, so arbitrarily long simulations run
 /// on finite measurement data — the paper similarly re-samples start times
 /// inside finite traces) or finite (queries past the end are errors).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The per-cycle capacity `Σ slots` is summed once, left to right, in
+/// [`BandwidthTrace::new`], so [`BandwidthTrace::transfer_time`] reads it
+/// in O(1) instead of re-summing every slot per call. Every trace,
+/// deserialized ones included, is built by `new`, so the slots are
+/// validated and the stored sum always matches them.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BandwidthTrace {
     /// Seconds covered by each slot.
     slot_duration: f64,
@@ -26,6 +32,28 @@ pub struct BandwidthTrace {
     slots: Vec<f64>,
     /// Whether queries wrap modulo the trace length.
     cyclic: bool,
+    /// `slots.iter().sum()`, computed once by [`BandwidthTrace::new`]; not
+    /// serialized (deserialization re-derives it).
+    #[serde(skip)]
+    slot_sum: f64,
+}
+
+impl Deserialize for BandwidthTrace {
+    /// Rebuilds a trace through [`BandwidthTrace::new`], so a payload the
+    /// constructor would reject (empty, negative, non-positive slot length)
+    /// is a decode error rather than a trace that panics on first query.
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        #[derive(Deserialize)]
+        struct Raw {
+            slot_duration: f64,
+            slots: Vec<f64>,
+            cyclic: bool,
+        }
+        let raw = Raw::from_value(v)?;
+        let trace = BandwidthTrace::new(raw.slot_duration, raw.slots)
+            .map_err(|e| serde::DeError::custom(e.to_string()))?;
+        Ok(if raw.cyclic { trace.cyclic() } else { trace })
+    }
 }
 
 impl BandwidthTrace {
@@ -49,10 +77,12 @@ impl BandwidthTrace {
                 "bandwidth values must be finite and non-negative, got {bad}"
             )));
         }
+        let slot_sum = slots.iter().sum();
         Ok(BandwidthTrace {
             slot_duration,
             slots,
             cyclic: false,
+            slot_sum,
         })
     }
 
@@ -89,7 +119,7 @@ impl BandwidthTrace {
 
     /// Mean bandwidth over one full cycle.
     pub fn mean(&self) -> f64 {
-        self.slots.iter().sum::<f64>() / self.slots.len() as f64
+        self.slot_sum / self.slots.len() as f64
     }
 
     /// Minimum slot bandwidth.
@@ -202,7 +232,7 @@ impl BandwidthTrace {
             });
         }
         let sd = self.slot_duration;
-        let cycle_mb: f64 = self.slots.iter().sum::<f64>() * sd;
+        let cycle_mb = self.slot_sum * sd;
         if self.cyclic && cycle_mb <= 0.0 {
             return Err(NetError::TransferStalled { remaining_mb: mb });
         }
@@ -488,6 +518,93 @@ mod tests {
         assert!(t.transfer_time(-1.0, 1.0).is_err());
         assert!(t.transfer_time(2.0, 1.0).is_err());
         assert!(t.transfer_time(0.0, f64::NAN).is_err());
+    }
+
+    /// `transfer_time` as it was before the cycle capacity was cached:
+    /// identical walk, but `Σ slots` re-summed on every call.
+    fn transfer_time_resumming(t: &BandwidthTrace, t0: f64, mb: f64) -> Result<f64> {
+        if !mb.is_finite() || mb < 0.0 || !t0.is_finite() || t0 < 0.0 {
+            return Err(NetError::InvalidArgument("bad args".to_string()));
+        }
+        if mb == 0.0 {
+            return Ok(0.0);
+        }
+        let n = t.num_slots() as i64;
+        if !t.is_cyclic() && t0 >= t.duration() {
+            return Err(NetError::OutOfRange {
+                requested: t0,
+                duration: t.duration(),
+            });
+        }
+        let sd = t.slot_duration();
+        let cycle_mb: f64 = t.slots().iter().sum::<f64>() * sd;
+        if t.is_cyclic() && cycle_mb <= 0.0 {
+            return Err(NetError::TransferStalled { remaining_mb: mb });
+        }
+        let max_slots = if t.is_cyclic() {
+            ((mb / cycle_mb).ceil() as i64 + 2).saturating_mul(n)
+        } else {
+            n
+        };
+        let (mut remaining, mut at, mut idx, mut steps) = (mb, t0, (t0 / sd).floor() as i64, 0i64);
+        loop {
+            if (!t.is_cyclic() && idx >= n) || steps > max_slots {
+                return Err(NetError::TransferStalled {
+                    remaining_mb: remaining,
+                });
+            }
+            let b = t.slot_bw(idx);
+            let slot_end = (idx + 1) as f64 * sd;
+            let cap = b * (slot_end - at);
+            if b > 0.0 && cap >= remaining {
+                return Ok(at + remaining / b - t0);
+            }
+            remaining -= cap;
+            at = slot_end;
+            idx += 1;
+            steps += 1;
+        }
+    }
+
+    fn assert_transfer_matches_reference(t: &BandwidthTrace, t0: f64, mb: f64) {
+        let got = t.transfer_time(t0, mb);
+        let want = transfer_time_resumming(t, t0, mb);
+        match (&got, &want) {
+            (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "t0={t0} mb={mb}"),
+            (
+                Err(NetError::TransferStalled { remaining_mb: a }),
+                Err(NetError::TransferStalled { remaining_mb: b }),
+            ) => assert_eq!(a.to_bits(), b.to_bits(), "t0={t0} mb={mb}"),
+            (Err(NetError::OutOfRange { .. }), Err(NetError::OutOfRange { .. })) => {}
+            other => panic!("t0={t0} mb={mb}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn transfer_time_matches_resumming_reference_bitwise() {
+        let slots = vec![0.3, 0.0, 1.7, 2.9, 0.0, 0.0, 0.45, 3.3, 1.1];
+        let finite = BandwidthTrace::new(0.7, slots.clone()).unwrap();
+        let cyclic = finite.clone().cyclic();
+        let cycle_mb = finite.slot_sum * 0.7;
+        for &t0 in &[0.0, 0.35, 1.4, 3.05, 5.6, 6.29] {
+            for &mb in &[1e-6, 0.2, 1.0, 2.5, cycle_mb - 0.01, 4.0] {
+                assert_transfer_matches_reference(&finite, t0, mb);
+                assert_transfer_matches_reference(&cyclic, t0, mb);
+            }
+            // Cyclic only: several whole cycles, crossing the wrap each time.
+            for &mb in &[cycle_mb, 2.0 * cycle_mb + 0.3, 7.5 * cycle_mb] {
+                assert_transfer_matches_reference(&cyclic, t0, mb);
+                assert_transfer_matches_reference(&cyclic, t0 + 17.3, mb);
+            }
+        }
+        // Zero capacity: a cyclic trace stalls up front, with the whole
+        // transfer remaining.
+        let dead = BandwidthTrace::new(2.0, vec![0.0; 5]).unwrap().cyclic();
+        assert_eq!(
+            dead.transfer_time(3.0, 1.5),
+            Err(NetError::TransferStalled { remaining_mb: 1.5 })
+        );
+        assert_transfer_matches_reference(&dead, 3.0, 1.5);
     }
 
     #[test]

@@ -12,9 +12,21 @@ use serde::{Deserialize, Serialize};
 /// randomly select one" (50-device simulation). `TraceSet` reproduces that:
 /// generate (or load) a pool, then [`TraceSet::assign`] one trace index per
 /// device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceSet {
     traces: Vec<BandwidthTrace>,
+}
+
+impl Deserialize for TraceSet {
+    /// Rebuilds the set through [`TraceSet::new`] (each trace through
+    /// [`BandwidthTrace::new`]), so an empty set is a decode error.
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        #[derive(Deserialize)]
+        struct Raw {
+            traces: Vec<BandwidthTrace>,
+        }
+        TraceSet::new(Raw::from_value(v)?.traces).map_err(|e| serde::DeError::custom(e.to_string()))
+    }
 }
 
 impl TraceSet {

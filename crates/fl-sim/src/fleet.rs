@@ -44,6 +44,14 @@
 //! `total_cmp`-sorted values), giving a fixed-size vector independent of
 //! `N` and exactly invariant under device permutation. See
 //! [`pooled_observation`] for the schema.
+//!
+//! [`FleetSim::observe_pooled`] computes the same bits at the cost of the
+//! trace pool, not the fleet: a device's history depends only on its
+//! trace, so each used trace's history is computed once, and each
+//! bandwidth column is summarized from at most `T` `(value, device
+//! count)` pairs. The frequency-cap and work-size summaries depend only on
+//! columns that never change after [`FleetSim::new`], so they are computed
+//! on the first observe and cached.
 
 use crate::fault::{DeviceFault, DeviceStatus, FleetFaults};
 use crate::report::{DeviceOutcome, IterationReport, OutcomeTally};
@@ -52,6 +60,7 @@ use fl_net::{BandwidthTrace, TraceSet};
 use fl_pool::tree::{aligned_shard_ranges, reduce_group_partials, TREE_ARITY};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Device state in struct-of-arrays form: one parallel `Vec` per channel
 /// instead of a `Vec<MobileDevice>`, so shard evaluation streams through
@@ -214,7 +223,7 @@ impl FleetState {
 }
 
 /// Battery bookkeeping for one fleet round (present only when
-/// [`FleetState::set_batteries`] was called).
+/// batteries were enabled, e.g. by [`FleetSim::set_batteries`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BatteryRound {
     /// Devices at zero charge after this round's drain.
@@ -283,6 +292,10 @@ struct ShardPartial {
 /// evaluated `shards` ranges at a time on the `fl-pool` work-stealing
 /// pool. Shard count and worker count are scheduling knobs only — see the
 /// module docs for the bit-invariance argument.
+///
+/// The device columns are immutable after [`FleetSim::new`] (only the
+/// battery charges change), which is what lets observation statics be
+/// cached.
 #[derive(Debug, Clone)]
 pub struct FleetSim {
     state: FleetState,
@@ -290,6 +303,21 @@ pub struct FleetSim {
     config: FlConfig,
     shards: usize,
     workers: Option<usize>,
+    /// Built on the first observe, never in [`FleetSim::new`]: the static
+    /// summaries sort two `N`-value columns.
+    obs_statics: OnceLock<ObsStatics>,
+}
+
+/// Observation inputs that depend only on the immutable device columns.
+#[derive(Debug, Clone)]
+struct ObsStatics {
+    /// `(trace index, devices following it)` for every trace at least one
+    /// device follows, in order of each trace's first device.
+    trace_counts: Vec<(usize, usize)>,
+    /// [`quantile_summary`] of the per-device frequency caps `δ_i^max`.
+    delta_max: [f64; POOL_QUANTILES],
+    /// [`quantile_summary`] of the per-device gigacycles per pass.
+    gcycles: [f64; POOL_QUANTILES],
 }
 
 impl FleetSim {
@@ -318,6 +346,7 @@ impl FleetSim {
             config,
             shards: 1,
             workers: None,
+            obs_statics: OnceLock::new(),
         })
     }
 
@@ -326,9 +355,10 @@ impl FleetSim {
         &self.state
     }
 
-    /// Mutable device state (e.g. to enable batteries).
-    pub fn state_mut(&mut self) -> &mut FleetState {
-        &mut self.state
+    /// Enables battery bookkeeping: every device (re)starts at
+    /// `capacity_j` joules of charge.
+    pub fn set_batteries(&mut self, capacity_j: f64) -> Result<()> {
+        self.state.set_batteries(capacity_j)
     }
 
     /// The trace pool.
@@ -386,11 +416,10 @@ impl FleetSim {
         self.state.delta_max_ghz.clone()
     }
 
-    /// Validates one round's inputs against the fleet (whose columns
-    /// [`FleetSim::state_mut`] may have reshaped) and returns the server
-    /// timeout (`+∞` when none).
+    /// Validates one round's inputs against the fleet (whose column
+    /// shapes [`FleetSim::new`] checked) and returns the server timeout
+    /// (`+∞` when none).
     fn check_round(&self, t_start: f64, freqs: &[f64], faults: &FleetFaults) -> Result<f64> {
-        self.state.check_columns()?;
         let n = self.state.len();
         if freqs.len() != n {
             return Err(SimError::InvalidArgument(format!(
@@ -594,20 +623,57 @@ impl FleetSim {
         })
     }
 
+    /// The statics cache, built on first use.
+    fn obs_statics(&self) -> &ObsStatics {
+        self.obs_statics.get_or_init(|| {
+            let mut counts = vec![0usize; self.traces.len()];
+            let mut order = Vec::new();
+            for &t in &self.state.trace_idx {
+                let t = t as usize;
+                if counts[t] == 0 {
+                    order.push(t);
+                }
+                counts[t] += 1;
+            }
+            let gcycles: Vec<f64> = (0..self.state.len())
+                .map(|i| self.state.device(i).gcycles_per_pass())
+                .collect();
+            let summary = |v: &[f64]| quantile_summary(v).expect("fleets are non-empty");
+            ObsStatics {
+                trace_counts: order.into_iter().map(|t| (t, counts[t])).collect(),
+                delta_max: summary(&self.state.delta_max_ghz),
+                gcycles: summary(&gcycles),
+            }
+        })
+    }
+
+    /// [`BandwidthTrace::history`] at `t` of every trace some device
+    /// follows, indexed by trace (empty for unused traces). Traces are
+    /// evaluated in order of their first device, so an error is the one
+    /// the lowest-indexed device would have raised.
+    fn trace_histories(&self, t: f64, slot_h: f64, history_len: usize) -> Result<Vec<Vec<f64>>> {
+        let mut histories = vec![Vec::new(); self.traces.len()];
+        for &(ti, _) in &self.obs_statics().trace_counts {
+            histories[ti] = self.traces.traces()[ti].history(t, slot_h, history_len)?;
+        }
+        Ok(histories)
+    }
+
     /// The DRL state for round start time `t`: for every device, the
     /// `history_len + 1` most recent `slot_h`-second slot-average
     /// bandwidths (newest first), concatenated device-major — the
-    /// `s_k = (B_1^k, ..., B_N^k)` of Section IV-B1.
+    /// `s_k = (B_1^k, ..., B_N^k)` of Section IV-B1. Each trace's history
+    /// is computed once and copied to every device that follows it.
     pub fn observe_bandwidth_state(
         &self,
         t: f64,
         slot_h: f64,
         history_len: usize,
     ) -> Result<Vec<f64>> {
-        let n = self.state.len();
-        let mut state = Vec::with_capacity(n * (history_len + 1));
-        for i in 0..n {
-            state.extend(self.trace(i).history(t, slot_h, history_len)?);
+        let histories = self.trace_histories(t, slot_h, history_len)?;
+        let mut state = Vec::with_capacity(self.state.len() * (history_len + 1));
+        for &ti in &self.state.trace_idx {
+            state.extend_from_slice(&histories[ti as usize]);
         }
         Ok(state)
     }
@@ -617,6 +683,11 @@ impl FleetSim {
     /// [`pooled_observation`] for the schema; pass `survival` from the
     /// previous round's [`FleetRound::survival_fraction`] when the fault
     /// tail is wanted.
+    ///
+    /// Bit-identical to [`pooled_observation`] over
+    /// [`FleetSim::observe_bandwidth_state`], at a cost independent of
+    /// `N` once the statics are cached: each bandwidth column is
+    /// summarized from `(trace value, device count)` pairs.
     pub fn observe_pooled(
         &self,
         t: f64,
@@ -624,19 +695,26 @@ impl FleetSim {
         history_len: usize,
         survival: Option<f64>,
     ) -> Result<Vec<f64>> {
-        let n = self.state.len();
-        let bw_state = self.observe_bandwidth_state(t, slot_h, history_len)?;
-        let gcycles: Vec<f64> = (0..n)
-            .map(|i| self.state.device(i).gcycles_per_pass())
+        let statics = self.obs_statics();
+        let histories = self.trace_histories(t, slot_h, history_len)?;
+        let mut obs = Vec::with_capacity(pooled_obs_dim(history_len, survival.is_some()));
+        let used: Vec<(&[f64], usize)> = statics
+            .trace_counts
+            .iter()
+            .map(|&(ti, count)| (histories[ti].as_slice(), count))
             .collect();
-        pooled_observation(
-            &bw_state,
-            n,
-            history_len,
-            &self.state.delta_max_ghz,
-            &gcycles,
-            survival,
-        )
+        let mut pairs = Vec::with_capacity(used.len());
+        for s in 0..=history_len {
+            pairs.clear();
+            pairs.extend(used.iter().map(|&(history, count)| (history[s], count)));
+            obs.extend(counted_quantile_summary(&mut pairs));
+        }
+        obs.extend(statics.delta_max);
+        obs.extend(statics.gcycles);
+        if let Some(frac) = survival {
+            obs.push(frac);
+        }
+        Ok(obs)
     }
 }
 
@@ -757,22 +835,33 @@ pub fn pooled_obs_dim(history_len: usize, participation_tail: bool) -> usize {
     POOL_QUANTILES * (history_len + 1) + 2 * POOL_QUANTILES + usize::from(participation_tail)
 }
 
-/// Linear-interpolation quantile on a `total_cmp`-sorted slice:
-/// `idx = q·(n−1)`, value `v[⌊idx⌋] + frac·(v[⌈idx⌉] − v[⌊idx⌋])`.
-fn quantile_from_sorted(sorted: &[f64], q: f64) -> f64 {
-    let n = sorted.len();
+/// Linear-interpolation quantile of `n >= 1` sorted values, read through
+/// `at(rank)`: `idx = q·(n−1)`, value `v[⌊idx⌋] + frac·(v[⌈idx⌉] − v[⌊idx⌋])`.
+fn quantile_at(n: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
     if n == 1 {
-        return sorted[0];
+        return at(0);
     }
     let idx = q * (n - 1) as f64;
     let lo = idx.floor() as usize;
     let hi = idx.ceil() as usize;
     let frac = idx - lo as f64;
     if hi == lo || frac == 0.0 {
-        sorted[lo]
+        at(lo)
     } else {
-        sorted[lo] + frac * (sorted[hi] - sorted[lo])
+        at(lo) + frac * (at(hi) - at(lo))
     }
+}
+
+/// `[min, q25, median, q75, max]` of `n >= 1` sorted values read through
+/// `at(rank)` — the one place the summary arithmetic lives.
+fn summary_at(n: usize, at: impl Fn(usize) -> f64) -> [f64; POOL_QUANTILES] {
+    [
+        at(0),
+        quantile_at(n, 0.25, &at),
+        quantile_at(n, 0.5, &at),
+        quantile_at(n, 0.75, &at),
+        at(n - 1),
+    ]
 }
 
 /// 5-point quantile summary `[min, q25, median, q75, max]` of a value
@@ -786,13 +875,27 @@ pub fn quantile_summary(values: &[f64]) -> Result<[f64; POOL_QUANTILES]> {
     }
     let mut sorted = values.to_vec();
     sorted.sort_unstable_by(f64::total_cmp);
-    Ok([
-        sorted[0],
-        quantile_from_sorted(&sorted, 0.25),
-        quantile_from_sorted(&sorted, 0.5),
-        quantile_from_sorted(&sorted, 0.75),
-        sorted[sorted.len() - 1],
-    ])
+    Ok(summary_at(sorted.len(), |r| sorted[r]))
+}
+
+/// [`quantile_summary`] of the multiset in which each `(value, count)`
+/// pair stands for `count` copies of `value` (at least one positive
+/// count), without expanding it. Sorting the pairs by `total_cmp` lays
+/// out the same sequence the expanded sort would (values that compare
+/// equal under `total_cmp` have equal bits), and rank `r` is read
+/// through the cumulative counts, so the summary picks the same elements
+/// and does the same arithmetic — the bits are equal by construction.
+fn counted_quantile_summary(pairs: &mut [(f64, usize)]) -> [f64; POOL_QUANTILES] {
+    pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let ends: Vec<usize> = pairs
+        .iter()
+        .scan(0, |acc, &(_, count)| {
+            *acc += count;
+            Some(*acc)
+        })
+        .collect();
+    let n = *ends.last().expect("at least one pair");
+    summary_at(n, |r| pairs[ends.partition_point(|&end| end <= r)].0)
 }
 
 /// Builds the quantile-pooled observation from a device-major bandwidth
@@ -1016,14 +1119,14 @@ mod tests {
         let (mut fleet, _) = sampled_fleet(40, 23);
         let freqs = fleet.max_freqs();
         let no_batt = fleet.run_round_benign(0.0, &freqs).unwrap();
-        fleet.state_mut().set_batteries(100.0).unwrap();
+        fleet.set_batteries(100.0).unwrap();
         fleet.set_shards(1);
         let one = fleet.run_round_benign(0.0, &freqs).unwrap();
         // Physics fields unchanged by the battery channel.
         assert_eq!(one.duration.to_bits(), no_batt.duration.to_bits());
         assert_eq!(one.total_energy.to_bits(), no_batt.total_energy.to_bits());
         let charges_one = fleet.state().battery_j.clone();
-        fleet.state_mut().set_batteries(100.0).unwrap();
+        fleet.set_batteries(100.0).unwrap();
         fleet.set_shards(64);
         let many = fleet.run_round_benign(0.0, &freqs).unwrap();
         assert_eq!(one, many);
@@ -1058,6 +1161,81 @@ mod tests {
             .observe_pooled(120.0, 10.0, 8, Some(0.75))
             .unwrap();
         assert_eq!(obs, rev_obs);
+    }
+
+    /// A fleet of `n` devices over `n_traces` random cyclic traces whose
+    /// slots are about one-fifth exact zeros (whole zero traces included).
+    fn random_fleet(n: usize, n_traces: usize, seed: u64) -> FleetSim {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let traces = (0..n_traces)
+            .map(|k| {
+                let len = rng.gen_range(1..50);
+                let slots = (0..len)
+                    .map(|_| {
+                        if k % 7 == 3 {
+                            0.0
+                        } else {
+                            rng.gen_range(-1.0f64..4.0).max(0.0)
+                        }
+                    })
+                    .collect();
+                let sd = [0.5, 1.0, 3.0][rng.gen_range(0..3usize)];
+                BandwidthTrace::new(sd, slots).unwrap().cyclic()
+            })
+            .collect();
+        let traces = TraceSet::new(traces).unwrap();
+        let assignment = traces.assign(n, &mut rng);
+        let state = FleetState::sample(&DeviceSampler::default(), &assignment, &mut rng).unwrap();
+        FleetSim::new(state, traces, FlConfig::default()).unwrap()
+    }
+
+    /// `observe_pooled` against the public reference: the expanded
+    /// per-device state through `pooled_observation`, bit for bit, at
+    /// several times on one fleet (so the cached statics are reused).
+    fn assert_pooled_matches_reference(fleet: &FleetSim, seed: u64) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let n = fleet.num_devices();
+        let gcycles: Vec<f64> = (0..n)
+            .map(|i| fleet.state().device(i).gcycles_per_pass())
+            .collect();
+        for _ in 0..4 {
+            let t = rng.gen_range(0.0..500.0);
+            let slot_h = [0.7, 2.0, 10.0][rng.gen_range(0..3usize)];
+            let h = rng.gen_range(0..6);
+            let survival = rng.gen_bool(0.5).then(|| rng.gen_range(0.0..1.0));
+            let got = fleet.observe_pooled(t, slot_h, h, survival).unwrap();
+            let bw = fleet.observe_bandwidth_state(t, slot_h, h).unwrap();
+            let want =
+                pooled_observation(&bw, n, h, &fleet.state().delta_max_ghz, &gcycles, survival)
+                    .unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n={n} t={t} h={h}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The count-based pooled observation equals the expanded
+        /// reference bit for bit, with fewer, as many, or more traces than
+        /// devices and with zero-bandwidth slots.
+        #[test]
+        fn prop_observe_pooled_matches_reference(
+            n in 1usize..60,
+            regime in 0usize..3,
+            gap in 1usize..20,
+            seed in 0u64..1_000_000,
+        ) {
+            let n_traces = [n.saturating_sub(gap).max(1), n, n + gap][regime];
+            assert_pooled_matches_reference(&random_fleet(n, n_traces, seed), seed);
+        }
+    }
+
+    #[test]
+    fn observe_errors_match_the_per_device_walk() {
+        let fleet = random_fleet(6, 3, 9);
+        let per_device = fleet.trace(0).history(10.0, 0.0, 2).unwrap_err();
+        let err = fleet.observe_bandwidth_state(10.0, 0.0, 2).unwrap_err();
+        assert_eq!(err.to_string(), SimError::from(per_device).to_string());
+        assert!(fleet.observe_pooled(10.0, -1.0, 2, None).is_err());
     }
 
     #[test]
