@@ -145,7 +145,7 @@ fn gate_fleet() -> bool {
         .collect();
     let mut failures = Vec::new();
     for attempt in 1..=ATTEMPTS {
-        let measured = fleet_perf::measure(&grid, 8, workers_from_env());
+        let measured = fleet_perf::measure(&grid, fleet_perf::SHARDS, workers_from_env());
         failures = fleet_perf::check(&baseline, &measured);
         if failures.is_empty() {
             println!("bench_check[fleet]: OK (attempt {attempt}/{ATTEMPTS})");
@@ -303,7 +303,7 @@ fn main() {
         } else {
             fleet_perf::default_grid()
         };
-        let fleet_report = fleet_perf::measure(&grid, 8, workers_from_env());
+        let fleet_report = fleet_perf::measure(&grid, fleet_perf::SHARDS, workers_from_env());
         fleet_perf::print_report(&fleet_report);
         let text = serde_json::to_string_pretty(&fleet_report).expect("report serializes");
         let path = fleet_baseline_path();

@@ -20,8 +20,10 @@
 //! [`fl_sim::FleetSim`] engine. Per-round cost, duration, and a CRC-32 of
 //! the decided frequency bits print with full precision; wall-clock and
 //! peak-RSS lines are prefixed `timing:` so CI can diff the deterministic
-//! remainder across shard counts (`FLEET_SHARDS`, default 8) — the output
-//! modulo `timing:` lines is identical at 1 and 64 shards, by contract.
+//! remainder across worker counts (`FL_WORKERS`). Fleets run at the fixed
+//! [`fl_bench::fleet_perf::SHARDS`] shard count `bench_check` measures
+//! at; shard-count invariance (1 vs 64 shards at 10⁵ devices) is pinned
+//! in-process by the `fleet_determinism` suite.
 
 use fl_bench::{
     dump_json_obs, fleet_perf, obs_recorder, print_relative, print_round_worker_stats,
@@ -49,10 +51,6 @@ fn freq_digest(freqs: &[f64]) -> u32 {
 /// The fleet-scale grid: one scale-invariant controller, many fleet sizes.
 fn run_grid(episodes: usize) {
     let scenario = Scenario::scale50();
-    let shards: usize = std::env::var("FLEET_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
     let grid = if std::env::var("FLEET_GRID_FULL").is_ok() {
         fleet_perf::full_grid()
     } else {
@@ -70,13 +68,14 @@ fn run_grid(episodes: usize) {
     let t0 = std::time::Instant::now();
     let (ctrl, cached, _) = scenario.train_cached(&sys, &config, &ParallelConfig::SERIAL);
     println!(
-        "timing: controller ready in {:.1?} (cache hit: {cached}, shards={shards}, workers={})",
+        "timing: controller ready in {:.1?} (cache hit: {cached}, shards={}, workers={})",
         t0.elapsed(),
+        fleet_perf::SHARDS,
         workers_from_env()
     );
     for (devices, rounds) in grid {
         let mut fleet = scenario.build_fleet(devices);
-        fleet.set_shards(shards);
+        fleet.set_shards(fleet_perf::SHARDS);
         let fc = ctrl
             .with_fleet_sim(&fleet)
             .expect("broadcast controller rebinds to any fleet size");

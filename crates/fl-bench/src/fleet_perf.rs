@@ -35,6 +35,11 @@ pub const MIN_RATE_FRAC: f64 = 0.25;
 /// Gate: the final re-measured case's peak RSS may grow at most this
 /// factor over the baseline's value for the same case.
 pub const MAX_RSS_GROWTH: f64 = 2.0;
+/// Shard count the fleet benchmarks run with: `bench_check` measures at
+/// it and `fig8_scale --grid` prints at it. Results are shard-invariant
+/// by contract (`fleet_determinism` pins 1 vs 64 shards at 10⁵ devices),
+/// so only throughput depends on it.
+pub const SHARDS: usize = 8;
 /// Cases at or below this device count are re-measured by the CI gate;
 /// larger cases are recorded in the baseline but skipped on CI.
 pub const GATE_MAX_DEVICES: usize = 100_000;

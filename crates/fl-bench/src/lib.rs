@@ -323,12 +323,9 @@ pub fn workers_from_env() -> usize {
 /// and, when the recorder is enabled, emits a structured `warning` event
 /// before falling back to the machine's available parallelism.
 pub fn workers_from_env_obs(rec: &fl_obs::Recorder) -> usize {
-    let Ok(raw) = std::env::var("FL_WORKERS") else {
-        return fl_rl::pool::default_workers();
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(w) if w >= 1 => w,
-        _ => {
+    match fl_rl::pool::env_workers_setting() {
+        Ok(workers) => workers.unwrap_or_else(fl_rl::pool::default_workers),
+        Err(raw) => {
             let fallback = fl_rl::pool::default_workers();
             if rec.is_enabled() {
                 rec.emit(

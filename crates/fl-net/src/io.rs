@@ -25,8 +25,9 @@ pub fn to_csv(trace: &BandwidthTrace) -> String {
 ///
 /// Expects monotonically increasing, evenly spaced timestamps; the slot
 /// duration is inferred from the first two rows (or `fallback_slot` for a
-/// single-row file). Lines starting with `#` and a `time,...` header are
-/// skipped.
+/// single-row file). Blank lines and lines starting with `#` are skipped
+/// anywhere; a `time,...` header row is skipped only before the first data
+/// row. A non-finite timestamp is a parse error.
 pub fn from_csv(text: &str, fallback_slot: f64) -> Result<BandwidthTrace> {
     let mut times = Vec::new();
     let mut bws = Vec::new();
@@ -36,17 +37,22 @@ pub fn from_csv(text: &str, fallback_slot: f64) -> Result<BandwidthTrace> {
             continue;
         }
         let mut parts = line.split(',');
-        let t_str = parts.next().unwrap_or("");
-        if t_str.chars().next().is_some_and(|c| c.is_alphabetic()) {
-            continue; // header row
+        let t_str = parts.next().unwrap_or("").trim();
+        let t = t_str.parse::<f64>();
+        let is_header = t.is_err() && t_str.starts_with(|c: char| c.is_alphabetic());
+        if is_header && times.is_empty() {
+            continue;
         }
         let b_str = parts.next().ok_or_else(|| {
             NetError::Parse(format!("line {}: expected 'time,bandwidth'", lineno + 1))
         })?;
-        let t: f64 = t_str
-            .trim()
-            .parse()
-            .map_err(|e| NetError::Parse(format!("line {}: bad time: {e}", lineno + 1)))?;
+        let t = t.map_err(|e| NetError::Parse(format!("line {}: bad time: {e}", lineno + 1)))?;
+        if !t.is_finite() {
+            return Err(NetError::Parse(format!(
+                "line {}: non-finite time {t}",
+                lineno + 1
+            )));
+        }
         let b: f64 = b_str
             .trim()
             .parse()
@@ -133,6 +139,25 @@ mod tests {
         assert!(from_csv("abc,1.0\n0.0,xyz\n", 1.0).is_err());
         assert!(from_csv("1.0,1.0\n0.5,1.0\n", 1.0).is_err()); // decreasing
         assert!(from_csv("0.0,1.0\n1.0,1.0\n3.0,1.0\n", 1.0).is_err()); // uneven
+    }
+
+    /// Header rows are recognized only before the first data row, and
+    /// non-finite timestamps are rejected: neither may silently drop a row.
+    #[test]
+    fn csv_never_drops_data_rows() {
+        for text in [
+            "0,1\n1,2\n2,3\ninf,4\n",
+            "0,1\nNaN,2\n",
+            "-inf,1\n0,2\n",
+            "time,bw\n0,1\ntime,bw\n1,2\n",
+        ] {
+            assert!(
+                matches!(from_csv(text, 1.0), Err(NetError::Parse(_))),
+                "{text:?}"
+            );
+        }
+        let t = from_csv("time,bw\n# note\n0,1\n\n1,2\n", 1.0).unwrap();
+        assert_eq!(t.slots(), &[1.0, 2.0]);
     }
 
     #[test]

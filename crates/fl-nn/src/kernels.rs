@@ -12,14 +12,13 @@
 //!   operations are deterministic; only the *grouping* of independent
 //!   elements changes, never the op sequence of any one element).
 //!
-//! The family used by [`crate::Matrix`] is resolved once per process from
-//! the `FL_KERNEL` environment variable (`blocked`, the default, or
-//! `naive`) and can be overridden programmatically with
-//! [`set_kernel_kind`] — the escape hatch the differential conformance
-//! suite uses to run whole training jobs under both families in one
-//! process.
+//! [`crate::Matrix`] runs the blocked family. Builds with the reference
+//! kernels compiled in can switch the process to the naive family with
+//! [`set_kernel_kind`] — the test oracle the conformance suites use to run
+//! whole training jobs under both families in one process.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+#[cfg(any(test, feature = "reference-kernels"))]
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Which matmul kernel family the process uses. See the module docs for
 /// the bit-exactness contract between the two.
@@ -27,69 +26,34 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum KernelKind {
     /// Cache-blocked, register-tiled kernels (the default).
     Blocked,
-    /// The original streaming reference loops. Only available when the
-    /// crate is compiled with the `reference-kernels` feature (or under
-    /// `cfg(test)`); requesting it otherwise falls back to `Blocked` with
-    /// a warning.
+    /// The original streaming reference loops. Exists only when the crate
+    /// is compiled with the `reference-kernels` feature (or under
+    /// `cfg(test)`).
+    #[cfg(any(test, feature = "reference-kernels"))]
     Naive,
 }
 
-const KIND_UNRESOLVED: u8 = 0;
-const KIND_BLOCKED: u8 = 1;
-const KIND_NAIVE: u8 = 2;
+/// Process-wide selection of the naive family. Relaxed ordering is
+/// enough: both families produce the same bits.
+#[cfg(any(test, feature = "reference-kernels"))]
+static NAIVE_SELECTED: AtomicBool = AtomicBool::new(false);
 
-/// Process-wide kernel selection; `0` means "not yet resolved from the
-/// environment". Relaxed ordering is enough: both families produce the
-/// same bits, so a race during resolution is observationally benign.
-static KERNEL_KIND: AtomicU8 = AtomicU8::new(KIND_UNRESOLVED);
-
-/// True when the naive reference kernels are compiled into this build.
-pub const fn naive_kernels_available() -> bool {
-    cfg!(any(test, feature = "reference-kernels"))
-}
-
-/// The kernel family in effect, resolving `FL_KERNEL` on first use.
+/// The kernel family in effect: [`KernelKind::Blocked`] unless a build
+/// with the reference kernels selected the naive family.
 pub fn kernel_kind() -> KernelKind {
-    match KERNEL_KIND.load(Ordering::Relaxed) {
-        KIND_BLOCKED => KernelKind::Blocked,
-        KIND_NAIVE => KernelKind::Naive,
-        _ => resolve_from_env(),
+    #[cfg(any(test, feature = "reference-kernels"))]
+    if NAIVE_SELECTED.load(Ordering::Relaxed) {
+        return KernelKind::Naive;
     }
+    KernelKind::Blocked
 }
 
-/// Overrides the process-wide kernel family, returning the kind actually
-/// in effect (requests for [`KernelKind::Naive`] fall back to `Blocked`
-/// when the reference kernels are not compiled in).
+/// Selects the process-wide kernel family, returning the one it replaces.
+#[cfg(any(test, feature = "reference-kernels"))]
 pub fn set_kernel_kind(kind: KernelKind) -> KernelKind {
-    let effective = match kind {
-        KernelKind::Naive if !naive_kernels_available() => {
-            eprintln!(
-                "fl-nn: naive kernels not compiled in (enable the \
-                 `reference-kernels` feature); using blocked"
-            );
-            KernelKind::Blocked
-        }
-        other => other,
-    };
-    let tag = match effective {
-        KernelKind::Blocked => KIND_BLOCKED,
-        KernelKind::Naive => KIND_NAIVE,
-    };
-    KERNEL_KIND.store(tag, Ordering::Relaxed);
-    effective
-}
-
-fn resolve_from_env() -> KernelKind {
-    let requested = std::env::var("FL_KERNEL").ok();
-    let kind = match requested.as_deref() {
-        None | Some("") | Some("blocked") => KernelKind::Blocked,
-        Some("naive") => KernelKind::Naive,
-        Some(other) => {
-            eprintln!("fl-nn: unknown FL_KERNEL value {other:?}; using blocked");
-            KernelKind::Blocked
-        }
-    };
-    set_kernel_kind(kind)
+    let before = kernel_kind();
+    NAIVE_SELECTED.store(kind == KernelKind::Naive, Ordering::Relaxed);
+    before
 }
 
 /// Wide output-column register tile: 32 accumulators live in registers
@@ -496,17 +460,11 @@ mod tests {
     #[test]
     fn set_kernel_kind_round_trips() {
         let _guard = TEST_KERNEL_LOCK.lock().unwrap();
-        let before = kernel_kind();
-        assert_eq!(set_kernel_kind(KernelKind::Naive), KernelKind::Naive);
+        let before = set_kernel_kind(KernelKind::Naive);
         assert_eq!(kernel_kind(), KernelKind::Naive);
-        assert_eq!(set_kernel_kind(KernelKind::Blocked), KernelKind::Blocked);
+        assert_eq!(set_kernel_kind(KernelKind::Blocked), KernelKind::Naive);
         assert_eq!(kernel_kind(), KernelKind::Blocked);
         set_kernel_kind(before);
-    }
-
-    #[test]
-    fn naive_available_in_tests() {
-        assert!(naive_kernels_available());
     }
 
     /// The degenerate shapes every kernel must survive: zero rows, zero

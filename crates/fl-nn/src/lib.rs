@@ -64,7 +64,9 @@ pub use activation::Activation;
 pub use dense::Dense;
 pub use error::NnError;
 pub use init::Init;
-pub use kernels::{kernel_kind, naive_kernels_available, set_kernel_kind, KernelKind};
+#[cfg(any(test, feature = "reference-kernels"))]
+pub use kernels::set_kernel_kind;
+pub use kernels::{kernel_kind, KernelKind};
 pub use matrix::Matrix;
 pub use mlp::Mlp;
 pub use optim::{Adam, OptimState, Optimizer, RmsProp, Sgd};

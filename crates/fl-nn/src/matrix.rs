@@ -474,11 +474,12 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// Dispatches to the register-tiled blocked kernel (or, under
-    /// `FL_KERNEL=naive`, the streaming reference kernel — both produce
-    /// bit-identical results; see `kernels`), and splits the row range
-    /// across the shared work-stealing pool (`FL_WORKERS` bounds the
-    /// width) when the shape-only `par_dispatch` predicate fires.
+    /// Dispatches to the register-tiled blocked kernel (or, when a build
+    /// with the reference kernels selected them, the streaming reference
+    /// kernel — both produce bit-identical results; see `kernels`), and
+    /// splits the row range across the shared work-stealing pool
+    /// (`FL_WORKERS` bounds the width) when the shape-only `par_dispatch`
+    /// predicate fires.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         self.matmul_impl(other, kernels::kernel_kind(), true)
     }
@@ -554,6 +555,7 @@ impl Matrix {
                     kernels::blocked_matmul_nt_pret(a, &bt, o, k, n)
                 });
             }
+            #[cfg(any(test, feature = "reference-kernels"))]
             KernelKind::Naive => {
                 Self::row_split_parallel(workers, &self.data, &mut out.data, m, k, n, |a, o| {
                     naive_matmul_nt(a, &other.data, o, k, n)
@@ -680,6 +682,7 @@ impl Matrix {
                 Ok(out)
             }
             // The reference path is the original unfused composition.
+            #[cfg(any(test, feature = "reference-kernels"))]
             KernelKind::Naive => {
                 let mut out = self.matmul_impl(other, kind, true)?;
                 out.add_row_broadcast(bias)?;
@@ -784,6 +787,7 @@ impl Matrix {
             }
             // The naive tn reference iterates k in the *outer* loop, so its
             // row range cannot be partitioned; it stays serial at any size.
+            #[cfg(any(test, feature = "reference-kernels"))]
             KernelKind::Naive => naive_matmul_tn(&self.data, &other.data, &mut out.data, k, m, n),
         }
         Ok(out)
@@ -843,6 +847,7 @@ impl Matrix {
             }
             // The naive nt reference computes independent per-row dot
             // products, so its row range partitions like `matmul`'s.
+            #[cfg(any(test, feature = "reference-kernels"))]
             KernelKind::Naive if par_dispatch(m, k, n) => {
                 Self::row_split_parallel(
                     fl_pool::env_workers(),
@@ -854,43 +859,24 @@ impl Matrix {
                     |a_chunk, out_chunk| naive_matmul_nt(a_chunk, &other.data, out_chunk, k, n),
                 );
             }
+            #[cfg(any(test, feature = "reference-kernels"))]
             KernelKind::Naive => naive_matmul_nt(&self.data, &other.data, &mut out.data, k, n),
         }
         Ok(out)
     }
 }
 
-/// Picks the serial row-range matmul kernel for `kind`. When the
-/// reference kernels are compiled out, `kernel_kind()` can never resolve
-/// to `Naive`, so the fallback arm is unreachable in practice.
+/// Picks the serial row-range matmul kernel for `kind`.
 fn serial_matmul_kernel(kind: KernelKind) -> fn(&[f64], &[f64], &mut [f64], usize, usize) {
     match kind {
         KernelKind::Blocked => kernels::blocked_matmul,
-        KernelKind::Naive => naive_matmul,
+        #[cfg(any(test, feature = "reference-kernels"))]
+        KernelKind::Naive => kernels::naive_matmul,
     }
 }
 
 #[cfg(any(test, feature = "reference-kernels"))]
-use kernels::{naive_matmul, naive_matmul_nt, naive_matmul_tn};
-
-/// Stub used when the reference kernels are compiled out: selection
-/// guards in `kernels` guarantee these are never reached.
-#[cfg(not(any(test, feature = "reference-kernels")))]
-fn naive_matmul(_: &[f64], _: &[f64], _: &mut [f64], _: usize, _: usize) {
-    unreachable!("naive kernels are compiled out; kernel selection falls back to blocked")
-}
-
-/// See [`naive_matmul`] (stub).
-#[cfg(not(any(test, feature = "reference-kernels")))]
-fn naive_matmul_tn(_: &[f64], _: &[f64], _: &mut [f64], _: usize, _: usize, _: usize) {
-    unreachable!("naive kernels are compiled out; kernel selection falls back to blocked")
-}
-
-/// See [`naive_matmul`] (stub).
-#[cfg(not(any(test, feature = "reference-kernels")))]
-fn naive_matmul_nt(_: &[f64], _: &[f64], _: &mut [f64], _: usize, _: usize) {
-    unreachable!("naive kernels are compiled out; kernel selection falls back to blocked")
-}
+use kernels::{naive_matmul_nt, naive_matmul_tn};
 
 #[cfg(test)]
 mod tests {

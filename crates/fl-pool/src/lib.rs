@@ -143,14 +143,25 @@ pub fn default_workers() -> usize {
 /// the value only ever changes wall-clock time, never results — callers on
 /// hot paths (the parallel matmul) need no further validation or warning
 /// plumbing here; `fl-bench`'s `workers_from_env_obs` adds the loud
-/// variant for the CLI binaries.
+/// variant for the CLI binaries on top of [`env_workers_setting`].
 pub fn env_workers() -> usize {
-    match std::env::var("FL_WORKERS") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(w) if w >= 1 => w,
-            _ => default_workers(),
-        },
-        Err(_) => default_workers(),
+    env_workers_setting()
+        .ok()
+        .flatten()
+        .unwrap_or_else(default_workers)
+}
+
+/// The one `FL_WORKERS` parse: `Ok(None)` when the variable is unset,
+/// `Ok(Some(w))` for a positive integer (surrounding whitespace allowed),
+/// and `Err(raw)` with the raw value for anything else (zero, negative,
+/// garbage).
+pub fn env_workers_setting() -> Result<Option<usize>, String> {
+    let Ok(raw) = std::env::var("FL_WORKERS") else {
+        return Ok(None);
+    };
+    match raw.trim().parse::<usize>() {
+        Ok(w) if w >= 1 => Ok(Some(w)),
+        _ => Err(raw),
     }
 }
 

@@ -21,67 +21,30 @@
 //!   both consume every per-env RNG stream at the same positions, so the
 //!   serialized streams line up at the boundary.
 
-use fl_ctrl::{build_system, EnvConfig, FlFreqEnv};
-use fl_net::synth::Profile;
-use fl_nn::KernelKind;
+#[path = "common/harness.rs"]
+mod harness;
+
+use fl_ctrl::FlFreqEnv;
 use fl_rl::runner::{RunnerState, SlotState, VecEnvRunner, VecRolloutSummary};
 use fl_rl::snapshot::RngState;
-use fl_rl::{
-    Environment, PpoAgent, PpoConfig, RolloutBuffer, SnapshotEnv, Transition, UpdateStats,
-};
-use fl_sim::{FaultModel, FlConfig, FlSystem};
+use fl_rl::{Environment, PpoAgent, RolloutBuffer, SnapshotEnv, Transition, UpdateStats};
+use fl_sim::FlSystem;
+use harness::{chaos, quick_config, system, KernelGuard, KernelKind, SEED};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::sync::Mutex;
-
-/// Serializes tests that touch the process-global kernel kind.
-static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock_global() -> std::sync::MutexGuard<'static, ()> {
-    // A poisoned lock only means another test failed; the global state is
-    // still safe to reset, so don't cascade the panic.
-    GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const N_ENVS: usize = 4;
 const REWARD_SCALE: f64 = 0.05;
 
-fn system(seed: u64) -> FlSystem {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    build_system(
-        2,
-        2,
-        Profile::Walking4G,
-        1200,
-        FlConfig::default(),
-        &mut rng,
-    )
-    .unwrap()
-}
-
 fn fl_envs(sys: &FlSystem, faults: bool) -> Vec<FlFreqEnv> {
-    let cfg = EnvConfig {
-        episode_len: 8,
-        history_len: 3,
-        faults: faults.then(|| FaultModel::chaos(0.2, 0.2, Some(120.0))),
-        ..EnvConfig::default()
-    };
+    let cfg = quick_config(0, faults.then(chaos)).env;
     (0..N_ENVS)
         .map(|_| FlFreqEnv::new(sys.clone(), cfg).unwrap())
         .collect()
 }
 
 fn agent(env: &FlFreqEnv, rng: &mut ChaCha8Rng) -> PpoAgent {
-    let config = PpoConfig {
-        hidden: vec![16],
-        buffer_capacity: 64,
-        minibatch_size: 32,
-        epochs: 4,
-        actor_lr: 1e-3,
-        critic_lr: 3e-3,
-        target_kl: None,
-        ..PpoConfig::default()
-    };
+    let config = quick_config(0, None).ppo;
     PpoAgent::new(env.obs_dim(), env.action_dim(), config, rng).unwrap()
 }
 
@@ -312,7 +275,7 @@ fn train(
     steps_per_env: usize,
 ) -> RunFingerprint {
     let envs = fl_envs(sys, faults);
-    let mut rng = ChaCha8Rng::seed_from_u64(42);
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
     let mut agent = agent(&envs[0], &mut rng);
     let mut buffer = agent.make_buffer().unwrap();
     let mut log = Vec::with_capacity(rounds);
@@ -350,35 +313,33 @@ fn train(
 /// transitions in the buffer across round boundaries.
 #[test]
 fn training_is_bit_identical_across_rollout_modes() {
-    assert!(fl_nn::naive_kernels_available());
-    let _guard = lock_global();
-    let before = fl_nn::kernel_kind();
-    let sys = system(1);
+    let sys = system(2, 1);
+    let rows = [
+        (KernelKind::Blocked, Schedule::PerEnv),
+        (KernelKind::Blocked, Schedule::Batched { workers: 1 }),
+        (KernelKind::Blocked, Schedule::Batched { workers: 4 }),
+        (KernelKind::Naive, Schedule::PerEnv),
+        (KernelKind::Naive, Schedule::Batched { workers: 1 }),
+        (KernelKind::Naive, Schedule::Batched { workers: 4 }),
+    ];
     for faults in [false, true] {
-        assert_eq!(
-            fl_nn::set_kernel_kind(KernelKind::Blocked),
-            KernelKind::Blocked
-        );
-        let reference = train(&sys, faults, Schedule::PerEnv, 8, 12);
+        let run = |(kernel, schedule)| {
+            let _kernel = KernelGuard::select(kernel);
+            train(&sys, faults, schedule, 8, 12)
+        };
+        let reference = run(rows[0]);
         let updates: usize = reference.0.iter().map(|r| r.updates.len()).sum();
         assert_eq!(updates, 8 * N_ENVS * 12 / 64, "faults={faults}");
         assert!(reference.0.iter().all(|r| !r.episodes.is_empty()));
-        for (kind, schedule) in [
-            (KernelKind::Blocked, Schedule::Batched { workers: 1 }),
-            (KernelKind::Blocked, Schedule::Batched { workers: 4 }),
-            (KernelKind::Naive, Schedule::PerEnv),
-            (KernelKind::Naive, Schedule::Batched { workers: 1 }),
-            (KernelKind::Naive, Schedule::Batched { workers: 4 }),
-        ] {
-            assert_eq!(fl_nn::set_kernel_kind(kind), kind);
-            let got = train(&sys, faults, schedule, 8, 12);
+        for row in &rows[1..] {
             assert_eq!(
-                got, reference,
-                "faults={faults} {kind:?} {schedule:?} diverged from blocked/per-env"
+                run(*row),
+                reference,
+                "faults={faults} {row:?} diverged from {:?}",
+                rows[0]
             );
         }
     }
-    fl_nn::set_kernel_kind(before);
 }
 
 /// Everything a kill/resume boundary carries, serialized through JSON.
@@ -394,13 +355,8 @@ struct Checkpoint {
 /// directions match the uninterrupted batched reference bit for bit.
 #[test]
 fn resume_across_rollout_mode_switch_is_bit_identical() {
-    let _guard = lock_global();
-    let before = fl_nn::kernel_kind();
-    assert_eq!(
-        fl_nn::set_kernel_kind(KernelKind::Blocked),
-        KernelKind::Blocked
-    );
-    let sys = system(2);
+    let _kernel = KernelGuard::select(KernelKind::Blocked);
+    let sys = system(2, 2);
     // 16 steps x 4 envs = one full buffer per round, so a round boundary
     // leaves the buffer empty: the checkpoint holds everything.
     let (rounds, kill_at, steps) = (6, 3, 16);
@@ -412,7 +368,7 @@ fn resume_across_rollout_mode_switch_is_bit_identical() {
     ] {
         // First process: `kill_at` rounds, then checkpoint.
         let envs = fl_envs(&sys, false);
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
+        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
         let mut agent = agent(&envs[0], &mut rng);
         let mut buffer = agent.make_buffer().unwrap();
         let mut log = Vec::with_capacity(rounds);
@@ -477,5 +433,4 @@ fn resume_across_rollout_mode_switch_is_bit_identical() {
             "{first:?} -> {second:?} across a kill/resume boundary changed the run"
         );
     }
-    fl_nn::set_kernel_kind(before);
 }

@@ -6,30 +6,14 @@
 //! config carrying it trains to bit-for-bit the same controller as one with
 //! no fault model at all.
 
-use fl_ctrl::{
-    build_system, run_controller_faulty, train_drl_parallel, EnvConfig, EpisodeStats,
-    ParallelConfig, TrainConfig,
-};
-use fl_net::synth::Profile;
-use fl_rl::PpoConfig;
-use fl_sim::{FaultModel, FaultPlan, FlConfig, FlSystem, OutcomeTally};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+#[path = "common/harness.rs"]
+mod harness;
+
+use fl_ctrl::{run_controller_faulty, RunOptions};
+use fl_sim::{FaultModel, FaultPlan, OutcomeTally};
+use harness::{assert_rows_agree, quick_config, system, train_under, Knobs, BASE};
 
 const WORKER_MATRIX: [usize; 3] = [1, 2, 4];
-
-fn system(seed: u64) -> FlSystem {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    build_system(
-        3,
-        3,
-        Profile::Walking4G,
-        2400,
-        FlConfig::default(),
-        &mut rng,
-    )
-    .unwrap()
-}
 
 /// The chaos model used throughout: meaningful rates on every fault channel
 /// so the test exercises dropouts, stragglers, lost uploads, blackouts, and
@@ -38,79 +22,17 @@ fn chaos() -> FaultModel {
     FaultModel::chaos(0.15, 0.2, Some(60.0))
 }
 
-fn quick_config(episodes: usize, faults: Option<FaultModel>) -> TrainConfig {
-    TrainConfig {
-        episodes,
-        ppo: PpoConfig {
-            hidden: vec![16],
-            buffer_capacity: 64,
-            minibatch_size: 32,
-            epochs: 4,
-            actor_lr: 1e-3,
-            critic_lr: 3e-3,
-            target_kl: None,
-            ..PpoConfig::default()
-        },
-        env: EnvConfig {
-            episode_len: 8,
-            history_len: 3,
-            faults,
-            ..EnvConfig::default()
-        },
-        arch: fl_ctrl::PolicyArch::Joint,
-        reward_scale: 0.05,
-    }
-}
-
-/// `(episode, mean_cost bits, total_reward bits, updates)` per episode.
-type EpisodeFingerprint = Vec<(usize, u64, u64, usize)>;
-
-/// Per-episode fingerprints plus the final actor parameters, bit-exact.
-fn train_fingerprint(
-    sys: &FlSystem,
-    workers: usize,
-    faults: Option<FaultModel>,
-) -> (EpisodeFingerprint, Vec<u64>) {
-    let mut rng = ChaCha8Rng::seed_from_u64(42);
-    let par = ParallelConfig { n_envs: 4, workers };
-    let out = train_drl_parallel(sys, &quick_config(12, faults), &par, &mut rng).unwrap();
-    let episodes = out
-        .output
-        .episodes
-        .iter()
-        .map(|e: &EpisodeStats| {
-            (
-                e.episode,
-                e.mean_cost.to_bits(),
-                e.total_reward.to_bits(),
-                e.updates_so_far,
-            )
-        })
-        .collect();
-    let params = out
-        .output
-        .controller
-        .policy()
-        .mean_net()
-        .export_params()
-        .iter()
-        .map(|p| p.to_bits())
-        .collect();
-    (episodes, params)
-}
-
 #[test]
 fn fault_training_identical_across_worker_matrix() {
-    let sys = system(1);
-    let reference = train_fingerprint(&sys, WORKER_MATRIX[0], Some(chaos()));
-    assert_eq!(reference.0.len(), 12, "12 episodes requested");
-    for &workers in &WORKER_MATRIX[1..] {
-        let candidate = train_fingerprint(&sys, workers, Some(chaos()));
-        assert_eq!(
-            candidate, reference,
-            "fault-injected training with {workers} workers diverged from 1 worker"
-        );
-    }
+    let sys = system(3, 1);
+    let rows = WORKER_MATRIX.map(|workers| Knobs { workers, ..BASE });
+    let reference = assert_rows_agree(
+        &sys,
+        &quick_config(12, Some(chaos())),
+        &RunOptions::default(),
+        &rows,
+    );
+    assert_eq!(reference.output.episodes.len(), 12, "12 episodes requested");
 }
 
 #[test]
@@ -118,14 +40,18 @@ fn fault_evaluation_identical_across_worker_matrix() {
     // Beyond training stats: deploy each trained controller under a pinned
     // chaos schedule and compare the cost series *and* the per-device
     // outcome tallies bit for bit.
-    let sys = system(2);
+    let sys = system(3, 2);
     let mut per_workers: Vec<(Vec<u64>, OutcomeTally)> = Vec::new();
     for &workers in &WORKER_MATRIX {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let par = ParallelConfig { n_envs: 2, workers };
-        let out =
-            train_drl_parallel(&sys, &quick_config(6, Some(chaos())), &par, &mut rng).unwrap();
-        let mut ctrl = out.output.controller;
+        let row = Knobs {
+            workers,
+            n_envs: 2,
+            ..BASE
+        };
+        let config = quick_config(6, Some(chaos()));
+        let mut ctrl = train_under(&sys, &config, &RunOptions::default(), row)
+            .output
+            .controller;
         let plan = FaultPlan::new(chaos(), sys.num_devices(), 99).unwrap();
         let run = run_controller_faulty(&sys, &mut ctrl, 15, 800.0, Some(&plan)).unwrap();
         let bits: Vec<u64> = run
@@ -155,11 +81,18 @@ fn none_model_training_matches_fault_free() {
     // `FaultModel::none()` must not consume RNG, widen observations, or
     // otherwise leave a trace: training with it is bit-identical to training
     // with no fault model configured at all.
-    let sys = system(3);
-    let with_none = train_fingerprint(&sys, 2, Some(FaultModel::none()));
-    let without = train_fingerprint(&sys, 2, None);
+    let sys = system(3, 3);
+    let (row, opts) = (Knobs { workers: 2, ..BASE }, RunOptions::default());
+    let with_none = train_under(
+        &sys,
+        &quick_config(12, Some(FaultModel::none())),
+        &opts,
+        row,
+    );
+    let without = train_under(&sys, &quick_config(12, None), &opts, row);
     assert_eq!(
-        with_none, without,
+        with_none.fingerprint(),
+        without.fingerprint(),
         "FaultModel::none() changed the training trajectory"
     );
 }

@@ -8,60 +8,29 @@
 //! `FleetRound`) decides exactly as the `FlSystem` path (`decide`, fed an
 //! `IterationReport`) on the same devices.
 
+#[path = "common/harness.rs"]
+mod harness;
+
 use fl_ctrl::{
-    build_system, fleet_statics, train_drl, train_drl_parallel, train_drl_parallel_opt,
-    CheckpointOptions, ControllerSnapshot, DrlController, EnvConfig, FrequencyController, ObsMode,
-    ParallelConfig, PolicyArch, RunOptions, TrainConfig, TrainOutput,
+    fleet_statics, train_drl, ControllerSnapshot, DrlController, FrequencyController, ObsMode,
+    PolicyArch, RunOptions, TrainConfig,
 };
-use fl_net::synth::Profile;
-use fl_rl::{GaussianPolicy, PpoConfig, RunningNorm};
+use fl_rl::{GaussianPolicy, RunningNorm};
 use fl_sim::{
-    pooled_obs_dim, pooled_observation, FaultModel, FaultPlan, FlConfig, FlSystem, FleetFaults,
-    FleetRound, IterationReport,
+    pooled_obs_dim, pooled_observation, FaultModel, FaultPlan, FlSystem, FleetFaults, FleetRound,
+    IterationReport,
 };
+use harness::{assert_rows_agree, chaos, quick_config, system, Knobs, BASE};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-fn system(n: usize, seed: u64) -> FlSystem {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    build_system(
-        n,
-        3,
-        Profile::Walking4G,
-        1200,
-        FlConfig::default(),
-        &mut rng,
-    )
-    .unwrap()
-}
 
 /// Small-but-real training configuration for the scale-invariant stack:
 /// quantile-pooled observation, broadcast actor, chaos faults.
 fn pooled_config(episodes: usize) -> TrainConfig {
-    TrainConfig {
-        episodes,
-        ppo: PpoConfig {
-            hidden: vec![16],
-            buffer_capacity: 64,
-            minibatch_size: 32,
-            epochs: 4,
-            actor_lr: 1e-3,
-            critic_lr: 3e-3,
-            target_kl: None,
-            ..PpoConfig::default()
-        },
-        env: EnvConfig {
-            episode_len: 8,
-            history_len: 3,
-            faults: Some(FaultModel::chaos(0.2, 0.2, Some(120.0))),
-            obs: ObsMode::Pooled,
-            ..EnvConfig::default()
-        },
-        arch: PolicyArch::Broadcast,
-        reward_scale: 0.05,
-    }
+    let mut config = quick_config(episodes, Some(chaos()));
+    config.env.obs = ObsMode::Pooled;
+    config.arch = PolicyArch::Broadcast;
+    config
 }
 
 /// Runs `rounds` chained faulty rounds at the given shard/worker counts
@@ -96,21 +65,27 @@ fn run_rounds(
 /// The tentpole contract: the full shard × worker × fault grid produces
 /// bit-identical round series — every duration, energy sum, tally, and
 /// battery statistic — because the reduction tree's shape is a pure
-/// function of the device count.
+/// function of the device count. Each fleet size is a table of
+/// `(shards, workers)` rows checked against its first row; the 10⁵-device
+/// table is the fleet-scale 1-vs-64-shard check.
 #[test]
 fn shard_worker_fault_grid_is_bit_identical() {
-    let sys = system(200, 11);
-    let plan = FaultPlan::new(FaultModel::chaos(0.15, 0.2, Some(90.0)), 200, 7).unwrap();
-    for faulty in [false, true] {
-        let plan = faulty.then_some(&plan);
-        let reference = run_rounds(&sys, 1, 1, plan, 4);
-        assert_eq!(reference.len(), 4);
-        for shards in [2, 8, 64] {
-            for workers in [1, 4] {
+    let small: &[(usize, usize)] = &[(1, 1), (2, 1), (2, 4), (8, 1), (8, 4), (64, 1), (64, 4)];
+    let large: &[(usize, usize)] = &[(1, 1), (1, 4), (64, 1), (64, 4)];
+    for (devices, rounds, rows) in [(200, 4, small), (100_000, 2, large)] {
+        let sys = system(devices, 11);
+        let model = FaultModel::chaos(0.15, 0.2, Some(90.0));
+        let plan = FaultPlan::new(model, devices, 7).unwrap();
+        for faulty in [false, true] {
+            let plan = faulty.then_some(&plan);
+            let (shards, workers) = rows[0];
+            let reference = run_rounds(&sys, shards, workers, plan, rounds);
+            assert_eq!(reference.len() as u64, rounds);
+            for &(shards, workers) in &rows[1..] {
                 assert_eq!(
-                    run_rounds(&sys, shards, workers, plan, 4),
+                    run_rounds(&sys, shards, workers, plan, rounds),
                     reference,
-                    "shards={shards} workers={workers} faulty={faulty}"
+                    "devices={devices} shards={shards} workers={workers} faulty={faulty}"
                 );
             }
         }
@@ -276,80 +251,20 @@ fn served_and_fleet_decisions_agree_across_inference_chunks() {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("fl-fleet-{tag}-{}-{n}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Bit-exact fingerprint of a finished training run (per-episode stats as
-/// bits plus the fully serialized agent).
-fn fingerprint(out: &TrainOutput) -> (Vec<[u64; 6]>, String) {
-    let eps = out
-        .episodes
-        .iter()
-        .map(|e| {
-            [
-                e.episode as u64,
-                e.mean_cost.to_bits(),
-                e.total_reward.to_bits(),
-                e.policy_loss.to_bits(),
-                e.value_loss.to_bits(),
-                e.updates_so_far as u64,
-            ]
-        })
-        .collect();
-    (eps, out.agent.to_json().unwrap())
-}
-
 /// Kill/resume composes with the fleet stack: interrupt a checkpointed
 /// pooled-broadcast training run (faults on) mid-way, resume it, and the
 /// result is bit-identical to the uninterrupted run — at 1 and 4 workers.
 #[test]
 fn pooled_broadcast_training_resumes_bit_identically() {
     let sys = system(3, 5);
-    let config = pooled_config(12);
-    let reference = {
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let par = ParallelConfig {
-            n_envs: 4,
-            workers: 1,
-        };
-        fingerprint(
-            &train_drl_parallel(&sys, &config, &par, &mut rng)
-                .unwrap()
-                .output,
-        )
+    // Killed at 50%, then run to completion — checkpoint cadence (4)
+    // deliberately misaligned with the kill point (6).
+    let killed = |workers| Knobs {
+        workers,
+        kill_at: &[6],
+        ..BASE
     };
-    assert_eq!(reference.0.len(), 12);
-    for workers in [1, 4] {
-        let dir = temp_dir("resume");
-        let par = ParallelConfig { n_envs: 4, workers };
-        let mut last = None;
-        // Killed at 50%, then run to completion — checkpoint cadence (4)
-        // deliberately misaligned with the kill point (6).
-        for stop in [6, usize::MAX] {
-            let mut rng = ChaCha8Rng::seed_from_u64(42);
-            let mut opts = RunOptions {
-                checkpoint: Some(CheckpointOptions {
-                    dir: dir.clone(),
-                    every_episodes: 4,
-                    resume: true,
-                }),
-                ..RunOptions::default()
-            };
-            if stop != usize::MAX {
-                opts.stop_after_episodes = Some(stop);
-            }
-            let out = train_drl_parallel_opt(&sys, &config, &par, &mut rng, &opts).unwrap();
-            last = Some(out.output);
-        }
-        assert_eq!(
-            fingerprint(&last.unwrap()),
-            reference,
-            "workers={workers}: resumed pooled-broadcast run diverged"
-        );
-    }
+    let rows = [BASE, killed(1), killed(4)];
+    let run = assert_rows_agree(&sys, &pooled_config(12), &RunOptions::default(), &rows);
+    assert_eq!(run.output.episodes.len(), 12);
 }

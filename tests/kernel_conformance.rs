@@ -19,31 +19,18 @@
 //! itself is pinned as a pure function of shape, and batched-forward row
 //! independence (the batched-rollout contract) gets a hand-computed golden.
 
-use fl_ctrl::{
-    build_system, train_drl_parallel, train_drl_parallel_opt, CheckpointOptions, EnvConfig,
-    ParallelConfig, RunOptions, TrainConfig, TrainOutput,
+#[path = "common/harness.rs"]
+mod harness;
+
+use fl_ctrl::{train_drl_parallel_opt, CheckpointOptions, ParallelConfig, RunOptions};
+use fl_nn::Matrix;
+use harness::{
+    assert_rows_agree, chaos, quick_config, system, temp_dir, train_under, KernelGuard, KernelKind,
+    Knobs, BASE, SEED,
 };
-use fl_net::synth::Profile;
-use fl_nn::{KernelKind, Matrix};
-use fl_rl::PpoConfig;
-use fl_sim::{FaultModel, FlConfig, FlSystem};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Serializes tests that flip the process-global kernel selection. The
-/// differential property tests below use the explicit `*_with` APIs and are
-/// unaffected; only the end-to-end fingerprint tests contend here.
-static KERNEL_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock_kernel() -> std::sync::MutexGuard<'static, ()> {
-    // A failed assertion in another test poisons the mutex; the lock only
-    // serializes access, so the poison flag itself is irrelevant.
-    KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Shape + per-element bits: NaN-safe equality for matrices.
 ///
@@ -456,114 +443,31 @@ fn golden_matmul_tn_nt() {
 // End-to-end: whole training runs are kernel-family invariant.
 // ---------------------------------------------------------------------------
 
-fn system(seed: u64) -> FlSystem {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    build_system(
-        2,
-        2,
-        Profile::Walking4G,
-        1200,
-        FlConfig::default(),
-        &mut rng,
-    )
-    .unwrap()
-}
-
-fn quick_config(episodes: usize, faults: bool) -> TrainConfig {
-    TrainConfig {
-        episodes,
-        ppo: PpoConfig {
-            hidden: vec![16],
-            buffer_capacity: 64,
-            minibatch_size: 32,
-            epochs: 4,
-            actor_lr: 1e-3,
-            critic_lr: 3e-3,
-            target_kl: None,
-            ..PpoConfig::default()
-        },
-        env: EnvConfig {
-            episode_len: 8,
-            history_len: 3,
-            faults: faults.then(|| FaultModel::chaos(0.2, 0.2, Some(120.0))),
-            ..EnvConfig::default()
-        },
-        arch: fl_ctrl::PolicyArch::Joint,
-        reward_scale: 0.05,
-    }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("fl-kernel-{tag}-{}-{n}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Bit-exact run fingerprint: every episode-stat field as bits plus the
-/// fully serialized agent (parameters, optimizer moments, normalizers).
-fn fingerprint(out: &TrainOutput) -> (Vec<[u64; 6]>, String) {
-    let eps = out
-        .episodes
-        .iter()
-        .map(|e| {
-            [
-                e.episode as u64,
-                e.mean_cost.to_bits(),
-                e.total_reward.to_bits(),
-                e.policy_loss.to_bits(),
-                e.value_loss.to_bits(),
-                e.updates_so_far as u64,
-            ]
-        })
-        .collect();
-    (eps, out.agent.to_json().unwrap())
-}
-
-fn run_under(
-    kind: KernelKind,
-    sys: &FlSystem,
-    config: &TrainConfig,
-    workers: usize,
-) -> (Vec<[u64; 6]>, String) {
-    assert_eq!(fl_nn::set_kernel_kind(kind), kind);
-    let mut rng = ChaCha8Rng::seed_from_u64(42);
-    let par = ParallelConfig { n_envs: 4, workers };
-    fingerprint(
-        &train_drl_parallel(sys, config, &par, &mut rng)
-            .unwrap()
-            .output,
-    )
-}
-
 /// The headline contract: a full parallel PPO training run — rollouts,
 /// updates, normalizers, fault injection and all — produces bit-identical
 /// episode stats and a bit-identical final agent under the blocked and
 /// naive kernels, at every worker count.
 #[test]
 fn training_is_bit_identical_across_kernel_families() {
-    assert!(fl_nn::naive_kernels_available());
-    let _guard = lock_kernel();
-    let before = fl_nn::kernel_kind();
-    let sys = system(1);
-    for faults in [false, true] {
+    let sys = system(2, 1);
+    let rows = [
+        BASE,
+        Knobs { workers: 4, ..BASE },
+        Knobs {
+            kernel: KernelKind::Naive,
+            ..BASE
+        },
+        Knobs {
+            kernel: KernelKind::Naive,
+            workers: 4,
+            ..BASE
+        },
+    ];
+    for faults in [None, Some(chaos())] {
         let config = quick_config(12, faults);
-        let reference = run_under(KernelKind::Blocked, &sys, &config, 1);
-        assert_eq!(reference.0.len(), 12);
-        for (kind, workers) in [
-            (KernelKind::Blocked, 4),
-            (KernelKind::Naive, 1),
-            (KernelKind::Naive, 4),
-        ] {
-            let got = run_under(kind, &sys, &config, workers);
-            assert_eq!(
-                got, reference,
-                "faults={faults} {kind:?} workers={workers} diverged from blocked/1-worker"
-            );
-        }
+        let reference = assert_rows_agree(&sys, &config, &RunOptions::default(), &rows);
+        assert_eq!(reference.output.episodes.len(), 12);
     }
-    fl_nn::set_kernel_kind(before);
 }
 
 /// Kernel invariance composes with crash-safe resume: checkpoint a run
@@ -572,52 +476,37 @@ fn training_is_bit_identical_across_kernel_families() {
 /// bit for bit.
 #[test]
 fn resume_across_kernel_switch_is_bit_identical() {
-    let _guard = lock_kernel();
-    let before = fl_nn::kernel_kind();
-    let sys = system(2);
-    let config = quick_config(12, false);
-    let par = ParallelConfig {
-        n_envs: 4,
-        workers: 2,
-    };
-
-    let reference = {
-        assert_eq!(
-            fl_nn::set_kernel_kind(KernelKind::Blocked),
-            KernelKind::Blocked
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        fingerprint(
-            &train_drl_parallel(&sys, &config, &par, &mut rng)
-                .unwrap()
-                .output,
-        )
-    };
+    let sys = system(2, 2);
+    let config = quick_config(12, None);
+    let row = Knobs { workers: 2, ..BASE };
+    let reference = train_under(&sys, &config, &RunOptions::default(), row).fingerprint();
 
     let dir = temp_dir("switch");
-    let ckpt = |stop: Option<usize>| RunOptions {
-        checkpoint: Some(CheckpointOptions {
-            dir: dir.clone(),
-            every_episodes: 3,
-            resume: true,
-        }),
-        stop_after_episodes: stop,
-        ..RunOptions::default()
+    let par = ParallelConfig {
+        n_envs: row.n_envs,
+        workers: row.workers,
     };
-
-    // First half under the blocked kernels...
-    let mut rng = ChaCha8Rng::seed_from_u64(11);
-    let first = train_drl_parallel_opt(&sys, &config, &par, &mut rng, &ckpt(Some(6))).unwrap();
-    assert!(first.output.episodes.len() < 12, "should be interrupted");
-
-    // ...resumed to completion under the naive kernels.
-    assert_eq!(fl_nn::set_kernel_kind(KernelKind::Naive), KernelKind::Naive);
-    let mut rng = ChaCha8Rng::seed_from_u64(11);
-    let resumed = train_drl_parallel_opt(&sys, &config, &par, &mut rng, &ckpt(None)).unwrap();
-    fl_nn::set_kernel_kind(before);
-
+    // First half under the blocked kernels, resumed to completion under
+    // the naive kernels.
+    let mut resumed = None;
+    for (kernel, stop) in [(KernelKind::Blocked, Some(6)), (KernelKind::Naive, None)] {
+        let _kernel = KernelGuard::select(kernel);
+        let opts = RunOptions {
+            checkpoint: Some(CheckpointOptions {
+                dir: dir.clone(),
+                every_episodes: 3,
+                resume: true,
+            }),
+            stop_after_episodes: stop,
+            ..RunOptions::default()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+        let out = train_drl_parallel_opt(&sys, &config, &par, &mut rng, &opts).unwrap();
+        assert_eq!(stop.is_some(), out.output.episodes.len() < 12, "{kernel:?}");
+        resumed = Some(harness::fingerprint(&out.output, &rng));
+    }
     assert_eq!(
-        fingerprint(&resumed.output),
+        resumed.unwrap(),
         reference,
         "kernel switch across a kill/resume boundary changed the run"
     );

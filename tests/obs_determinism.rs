@@ -12,111 +12,45 @@
 //! 3. The metric primitives (histogram buckets, quantile estimation)
 //!    match hand-computed values.
 
+#[path = "common/harness.rs"]
+mod harness;
+
 use fl_ctrl::{
-    build_system, train_drl_parallel_opt, CheckpointOptions, EnvConfig, ParallelConfig, RunOptions,
-    SupervisorPolicy, TrainConfig, TrainOutput,
+    train_drl_parallel_opt, CheckpointOptions, ParallelConfig, RunOptions, SupervisorPolicy,
 };
-use fl_net::synth::Profile;
 use fl_obs::Recorder;
-use fl_rl::PpoConfig;
-use fl_sim::{FaultModel, FlConfig, FlSystem};
-use rand::{RngCore, SeedableRng};
+use harness::{chaos, quick_config, system, temp_dir, train_under, Knobs, BASE, SEED};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-fn system(seed: u64) -> FlSystem {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    build_system(
-        2,
-        2,
-        Profile::Walking4G,
-        1200,
-        FlConfig::default(),
-        &mut rng,
-    )
-    .unwrap()
-}
-
-fn quick_config(episodes: usize, faults: bool) -> TrainConfig {
-    TrainConfig {
-        episodes,
-        ppo: PpoConfig {
-            hidden: vec![16],
-            buffer_capacity: 64,
-            minibatch_size: 32,
-            epochs: 4,
-            actor_lr: 1e-3,
-            critic_lr: 3e-3,
-            target_kl: None,
-            ..PpoConfig::default()
-        },
-        env: EnvConfig {
-            episode_len: 8,
-            history_len: 3,
-            faults: faults.then(|| FaultModel::chaos(0.2, 0.2, Some(120.0))),
-            ..EnvConfig::default()
-        },
-        arch: fl_ctrl::PolicyArch::Joint,
-        reward_scale: 0.05,
-    }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("fl-obs-{tag}-{}-{n}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Everything observable from a finished run, bit-exact, plus the
-/// master-RNG position after training (one draw) — a recorder that
-/// consumed RNG anywhere would shift it.
-fn fingerprint(out: &TrainOutput, rng: &mut ChaCha8Rng) -> (Vec<[u64; 6]>, String, u64) {
-    let eps = out
-        .episodes
-        .iter()
-        .map(|e| {
-            [
-                e.episode as u64,
-                e.mean_cost.to_bits(),
-                e.total_reward.to_bits(),
-                e.policy_loss.to_bits(),
-                e.value_loss.to_bits(),
-                e.updates_so_far as u64,
-            ]
-        })
-        .collect();
-    (eps, out.agent.to_json().unwrap(), rng.next_u64())
-}
 
 /// Recording on vs off: training with `n_envs` environments is
 /// bit-identical at every count in `worker_counts`, with and without fault
-/// injection.
+/// injection. The fingerprint carries the master-RNG position, so a
+/// recorder that consumed RNG anywhere would show.
 fn assert_recording_is_invisible(sys_seed: u64, n_envs: usize, worker_counts: &[usize]) {
-    let sys = system(sys_seed);
-    for faults in [false, true] {
+    let sys = system(2, sys_seed);
+    for faults in [None, Some(chaos())] {
         let config = quick_config(12, faults);
-        let run = |workers: usize, obs: Recorder| {
-            let mut rng = ChaCha8Rng::seed_from_u64(5);
-            let par = ParallelConfig { n_envs, workers };
-            let opts = RunOptions {
-                obs,
+        let reference = train_under(
+            &sys,
+            &config,
+            &RunOptions::default(),
+            Knobs { n_envs, ..BASE },
+        );
+        for &workers in worker_counts {
+            let row = Knobs {
+                workers,
+                n_envs,
+                ..BASE
+            };
+            let recorded = RunOptions {
+                obs: Recorder::in_memory(),
                 ..RunOptions::default()
             };
-            let out = train_drl_parallel_opt(&sys, &config, &par, &mut rng, &opts)
-                .unwrap()
-                .output;
-            fingerprint(&out, &mut rng)
-        };
-        let reference = run(1, Recorder::disabled());
-        for &workers in worker_counts {
             assert_eq!(
-                run(workers, Recorder::in_memory()),
-                reference,
-                "faults={faults} n_envs={n_envs} workers={workers}: \
-                 recorder changed training"
+                train_under(&sys, &config, &recorded, row).fingerprint(),
+                reference.fingerprint(),
+                "faults={faults:?} {row:?}: recorder changed training"
             );
         }
     }
@@ -140,26 +74,26 @@ fn parallel_recording_is_invisible_to_training() {
 /// count — including a supervisor intervention healing a poisoned update.
 #[test]
 fn det_projection_is_worker_count_invariant() {
-    let sys = system(3);
-    let mut config = quick_config(12, false);
+    let sys = system(2, 3);
+    let mut config = quick_config(12, None);
     // Smaller buffer → one PPO update per round, so the poisoned second
     // update (and its intervention event) lands early in the run.
     config.ppo.buffer_capacity = 32;
     config.ppo.minibatch_size = 16;
     let project = |workers: usize| -> Vec<String> {
         let rec = Recorder::in_memory();
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let par = ParallelConfig { n_envs: 4, workers };
         let opts = RunOptions {
             supervisor: Some(SupervisorPolicy::default()),
             poison_update: Some(1),
             obs: rec.clone(),
             ..RunOptions::default()
         };
-        let out = train_drl_parallel_opt(&sys, &config, &par, &mut rng, &opts)
-            .unwrap()
-            .output;
-        assert_eq!(out.interventions.len(), 1, "poison must trigger a strike");
+        let run = train_under(&sys, &config, &opts, Knobs { workers, ..BASE });
+        assert_eq!(
+            run.output.interventions.len(),
+            1,
+            "poison must trigger a strike"
+        );
         fl_obs::det_projection(&rec.events_text()).unwrap()
     };
     let reference = project(1);
@@ -186,26 +120,28 @@ fn det_projection_is_worker_count_invariant() {
 /// of the on-disk log must validate against the schema.
 fn assert_det_projection_survives_kill(
     sys_seed: u64,
-    rng_seed: u64,
     n_envs: usize,
     episodes: usize,
     faults: bool,
     kill_at: usize,
     every: usize,
 ) {
-    let sys = system(sys_seed);
-    let config = quick_config(episodes, faults);
+    let sys = system(2, sys_seed);
+    let config = quick_config(episodes, faults.then(chaos));
 
     // Uninterrupted reference (in-memory recorder).
     let reference = {
         let rec = Recorder::in_memory();
-        let mut rng = ChaCha8Rng::seed_from_u64(rng_seed);
-        let par = ParallelConfig { n_envs, workers: 2 };
         let opts = RunOptions {
             obs: rec.clone(),
             ..RunOptions::default()
         };
-        train_drl_parallel_opt(&sys, &config, &par, &mut rng, &opts).unwrap();
+        let row = Knobs {
+            workers: 2,
+            n_envs,
+            ..BASE
+        };
+        train_under(&sys, &config, &opts, row);
         fl_obs::det_projection(&rec.events_text()).unwrap()
     };
 
@@ -215,7 +151,7 @@ fn assert_det_projection_survives_kill(
     let log = dir.join("events.jsonl");
     for (stop, workers) in [(Some(kill_at), 2usize), (None, 4)] {
         let rec = Recorder::to_file(&log).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(rng_seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
         let par = ParallelConfig { n_envs, workers };
         let opts = RunOptions {
             checkpoint: Some(CheckpointOptions {
@@ -245,7 +181,7 @@ fn assert_det_projection_survives_kill(
 /// projection across the resume.
 #[test]
 fn det_projection_survives_kill_and_resume() {
-    assert_det_projection_survives_kill(4, 21, 4, 16, true, 8, 4);
+    assert_det_projection_survives_kill(4, 4, 16, true, 8, 4);
 }
 
 /// One environment (the serial case) keeps its det projection too, with a
@@ -253,7 +189,7 @@ fn det_projection_survives_kill_and_resume() {
 /// replays episodes 3–4 and must overwrite, not duplicate, their events.
 #[test]
 fn serial_det_projection_survives_kill_and_resume() {
-    assert_det_projection_survives_kill(5, 13, ParallelConfig::SERIAL.n_envs, 10, false, 5, 3);
+    assert_det_projection_survives_kill(5, ParallelConfig::SERIAL.n_envs, 10, false, 5, 3);
 }
 
 /// Histogram bucket boundaries: a value exactly on an upper edge lands in

@@ -3,134 +3,61 @@
 //! controller comparison, seed sweeps) must produce **bit-identical**
 //! results, with thread count changing wall-clock time and nothing else.
 
+#[path = "common/harness.rs"]
+mod harness;
+
 use fl_ctrl::{
-    build_system, compare_controllers, run_parallel_sweep, train_drl_parallel, EnvConfig,
-    EpisodeStats, MaxFreqController, ParallelConfig, StaticController, TrainConfig,
+    compare_controllers, run_parallel_sweep, train_drl_parallel, MaxFreqController, ParallelConfig,
+    RunOptions, StaticController,
 };
-use fl_net::synth::Profile;
-use fl_rl::PpoConfig;
-use fl_sim::{FlConfig, FlSystem};
+use harness::{assert_rows_agree, quick_config, system, train_under, Knobs, BASE};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 const WORKER_MATRIX: [usize; 4] = [1, 2, 4, 8];
 
-fn system(seed: u64) -> FlSystem {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    build_system(
-        3,
-        3,
-        Profile::Walking4G,
-        2400,
-        FlConfig::default(),
-        &mut rng,
-    )
-    .unwrap()
-}
-
-fn quick_config(episodes: usize) -> TrainConfig {
-    TrainConfig {
-        episodes,
-        ppo: PpoConfig {
-            hidden: vec![16],
-            buffer_capacity: 64,
-            minibatch_size: 32,
-            epochs: 4,
-            actor_lr: 1e-3,
-            critic_lr: 3e-3,
-            target_kl: None,
-            ..PpoConfig::default()
-        },
-        env: EnvConfig {
-            episode_len: 8,
-            history_len: 3,
-            ..EnvConfig::default()
-        },
-        arch: fl_ctrl::PolicyArch::Joint,
-        reward_scale: 0.05,
-    }
-}
-
-/// `(episode, mean_cost bits, total_reward bits, updates)` per episode.
-type EpisodeFingerprint = Vec<(usize, u64, u64, usize)>;
-
-/// Everything observable from a training run, bit-exact: per-episode stats
-/// and the final actor parameters.
-fn train_fingerprint(sys: &FlSystem, workers: usize) -> (EpisodeFingerprint, Vec<u64>) {
-    let mut rng = ChaCha8Rng::seed_from_u64(42);
-    let par = ParallelConfig { n_envs: 4, workers };
-    let out = train_drl_parallel(sys, &quick_config(12), &par, &mut rng).unwrap();
-    let episodes: EpisodeFingerprint = out
-        .output
-        .episodes
-        .iter()
-        .map(|e: &EpisodeStats| {
-            (
-                e.episode,
-                e.mean_cost.to_bits(),
-                e.total_reward.to_bits(),
-                e.updates_so_far,
-            )
-        })
-        .collect();
-    let params = out
-        .output
-        .controller
-        .policy()
-        .mean_net()
-        .export_params()
-        .iter()
-        .map(|p| p.to_bits())
-        .collect();
-    (episodes, params)
-}
-
 #[test]
 fn training_identical_across_worker_matrix() {
-    let sys = system(1);
-    let reference = train_fingerprint(&sys, WORKER_MATRIX[0]);
-    assert_eq!(reference.0.len(), 12, "12 episodes requested");
-    for &workers in &WORKER_MATRIX[1..] {
-        let candidate = train_fingerprint(&sys, workers);
-        assert_eq!(
-            candidate, reference,
-            "training with {workers} workers diverged from 1 worker"
-        );
-    }
+    let sys = system(3, 1);
+    let rows = WORKER_MATRIX.map(|workers| Knobs { workers, ..BASE });
+    let reference = assert_rows_agree(&sys, &quick_config(12, None), &RunOptions::default(), &rows);
+    assert_eq!(reference.output.episodes.len(), 12, "12 episodes requested");
 }
 
 #[test]
 fn trained_controller_final_costs_identical_across_worker_matrix() {
     // Beyond training stats: deploy each trained controller and compare the
     // online evaluation cost series bit for bit.
-    let sys = system(2);
-    let mut costs_per_workers = Vec::new();
-    for &workers in &WORKER_MATRIX {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let par = ParallelConfig { n_envs: 2, workers };
-        let out = train_drl_parallel(&sys, &quick_config(6), &par, &mut rng).unwrap();
-        let runs =
-            compare_controllers(&sys, vec![Box::new(out.output.controller)], 15, 800.0).unwrap();
-        let bits: Vec<u64> = runs[0]
+    let sys = system(3, 2);
+    let costs = |workers: usize| -> Vec<u64> {
+        let row = Knobs {
+            workers,
+            n_envs: 2,
+            ..BASE
+        };
+        let trained = train_under(&sys, &quick_config(6, None), &RunOptions::default(), row);
+        let runs = compare_controllers(&sys, vec![Box::new(trained.output.controller)], 15, 800.0)
+            .unwrap();
+        runs[0]
             .ledger
             .cost_series()
             .iter()
             .map(|c| c.to_bits())
-            .collect();
-        costs_per_workers.push(bits);
-    }
-    for (i, bits) in costs_per_workers.iter().enumerate().skip(1) {
+            .collect()
+    };
+    let reference = costs(WORKER_MATRIX[0]);
+    for &workers in &WORKER_MATRIX[1..] {
         assert_eq!(
-            bits, &costs_per_workers[0],
-            "final cost series diverged at workers={}",
-            WORKER_MATRIX[i]
+            costs(workers),
+            reference,
+            "final cost series diverged at workers={workers}"
         );
     }
 }
 
 #[test]
 fn controller_comparison_matches_serial_reference() {
-    let sys = system(3);
+    let sys = system(3, 3);
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     let stat = StaticController::new(&sys, 200, 0.1, &mut rng).unwrap();
     let runs = compare_controllers(
@@ -154,7 +81,7 @@ fn seed_sweep_order_and_values_invariant_to_workers() {
     // A miniature abl_seeds: train on 5 seeds, each task self-seeded. The
     // sweep must return results in seed order with identical values for
     // every worker count.
-    let sys = system(5);
+    let sys = system(3, 5);
     let sweep = |workers: usize| {
         let seeds: Vec<u64> = (0..5).collect();
         let (results, report) = run_parallel_sweep(workers, seeds, |_, seed| {
@@ -163,7 +90,7 @@ fn seed_sweep_order_and_values_invariant_to_workers() {
                 n_envs: 2,
                 workers: 1,
             };
-            let out = train_drl_parallel(&sys, &quick_config(4), &par, &mut rng)?;
+            let out = train_drl_parallel(&sys, &quick_config(4, None), &par, &mut rng)?;
             Ok(out.output.final_mean_cost(2).to_bits())
         })
         .unwrap();

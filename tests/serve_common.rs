@@ -8,30 +8,22 @@
 
 #![allow(dead_code)] // each suite uses a subset of the fixture
 
+#[path = "common/harness.rs"]
+pub mod harness;
+pub use harness::temp_dir;
+
 use fl_ctrl::{build_system, ControllerSnapshot, DrlController};
 use fl_net::synth::Profile;
 use fl_rl::{GaussianPolicy, RunningNorm};
 use fl_sim::{FlConfig, FlSystem};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Slot width (seconds) the fixture controller observes bandwidth with.
 pub const SLOT_H: f64 = 10.0;
 /// History length `H`: the observation carries `H + 1` slot averages per
 /// device.
 pub const HIST: usize = 4;
-
-/// A fresh per-process temp directory.
-pub fn temp_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("fedfreq-serve-{}-{tag}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Builds a 3-device testbed system and a deployable snapshot over it:
 /// random policy weights (decision *bits* are what the suites compare, not

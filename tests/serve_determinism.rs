@@ -1,7 +1,8 @@
 //! Bit-determinism suite: a frequency served over the wire is
 //! bit-identical to evaluating `DrlController::decide` in-process on the
-//! same snapshot — across kernel backends (`FL_KERNEL={blocked,naive}`)
-//! and across micro-batch sizes {1, 7, 32}.
+//! same snapshot — across kernel families (blocked and the naive
+//! reference, selected in-process) and across micro-batch sizes
+//! {1, 7, 32}.
 //!
 //! Three properties compose to make this hold by construction, and this
 //! suite is the end-to-end check that they actually do:
@@ -15,8 +16,8 @@
 #[path = "serve_common.rs"]
 mod common;
 
+use common::harness::{KernelGuard, KernelKind};
 use fl_ctrl::FrequencyController;
-use fl_nn::{kernel_kind, naive_kernels_available, set_kernel_kind, KernelKind};
 use fl_rl::snapshot::CheckpointStore;
 use fl_serve::{DecisionServer, ServeClient, ServeOptions};
 use std::sync::{Arc, Barrier};
@@ -83,15 +84,8 @@ fn served_bits_match_in_process_across_kernels_and_batch_sizes() {
     let times = common::obs_times(32);
     let rows = common::obs_rows(&sys, &times);
 
-    let mut kinds = vec![KernelKind::Blocked];
-    if naive_kernels_available() {
-        kinds.push(KernelKind::Naive);
-    } else {
-        eprintln!("serve_determinism: naive kernels compiled out; blocked only");
-    }
-    let original = kernel_kind();
-    for kind in kinds {
-        set_kernel_kind(kind);
+    for kind in [KernelKind::Blocked, KernelKind::Naive] {
+        let _kernel = KernelGuard::select(kind);
         // References computed under the same kernel the server will use.
         let expected = reference_freqs(&sys, &snap, &times);
         let opts = ServeOptions {
@@ -118,7 +112,6 @@ fn served_bits_match_in_process_across_kernels_and_batch_sizes() {
         );
         assert_eq!(stats.decisions, 1 + 7 + 32, "kernel {kind:?}");
     }
-    set_kernel_kind(original);
 }
 
 /// Mixed-size sequential traffic on one connection: every answer equals
