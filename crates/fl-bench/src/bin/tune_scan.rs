@@ -15,11 +15,11 @@ use fl_ctrl::{
     MaxFreqController, OracleController, StaticController,
 };
 use fl_net::TraceSet;
-use fl_sim::{DeviceSampler, FlConfig, FlSystem, Range};
+use fl_sim::{DeviceSampler, FlConfig, FleetSim, FleetState, Range};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn build(lambda: f64, xi: f64, data_lo: f64, data_hi: f64) -> FlSystem {
+fn build(lambda: f64, xi: f64, data_lo: f64, data_hi: f64) -> FleetSim {
     let mut rng = ChaCha8Rng::seed_from_u64(20200518);
     let traces =
         TraceSet::from_profile(fl_net::synth::Profile::Walking4G, 3, 3600, 1.0, &mut rng).unwrap();
@@ -31,9 +31,9 @@ fn build(lambda: f64, xi: f64, data_lo: f64, data_hi: f64) -> FlSystem {
         },
         ..DeviceSampler::default()
     };
-    let devices = sampler.sample_fleet(&assignment, &mut rng);
-    FlSystem::new(
-        devices,
+    let state = FleetState::sample(&sampler, &assignment, &mut rng).unwrap();
+    FleetSim::new(
+        state,
         traces,
         FlConfig {
             tau: 1,

@@ -30,7 +30,7 @@ use fl_ctrl::{
 use fl_net::stats::EmpiricalCdf;
 use fl_net::synth::Profile;
 use fl_rl::PpoConfig;
-use fl_sim::{DeviceSampler, FlConfig, FlSystem, Range};
+use fl_sim::{DeviceSampler, FlConfig, FleetSim, Range};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -111,8 +111,8 @@ impl Scenario {
         }
     }
 
-    /// Builds the deterministic [`FlSystem`] for this scenario.
-    pub fn build(&self) -> FlSystem {
+    /// Builds the deterministic [`FleetSim`] for this scenario.
+    pub fn build(&self) -> FleetSim {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         fl_ctrl::build_system_with(
             self.n_devices,
@@ -209,7 +209,7 @@ impl Scenario {
 
     /// Trains the DRL controller for this scenario with one environment
     /// (deterministic given the scenario seed).
-    pub fn train(&self, sys: &FlSystem, episodes: usize) -> TrainOutput {
+    pub fn train(&self, sys: &FleetSim, episodes: usize) -> TrainOutput {
         self.train_with(sys, episodes, &RunOptions::default())
             .expect("training configuration is valid")
     }
@@ -219,7 +219,7 @@ impl Scenario {
     /// [`Scenario::train`].
     pub fn train_with(
         &self,
-        sys: &FlSystem,
+        sys: &FleetSim,
         episodes: usize,
         opts: &RunOptions,
     ) -> fl_ctrl::Result<TrainOutput> {
@@ -227,25 +227,13 @@ impl Scenario {
             .map(|out| out.output)
     }
 
-    /// Trains with `par.n_envs` rollout environments. Deterministic given
-    /// the scenario seed and `par.n_envs`; `par.workers` only moves
-    /// wall-clock time.
-    pub fn train_parallel(
-        &self,
-        sys: &FlSystem,
-        episodes: usize,
-        par: &ParallelConfig,
-    ) -> ParallelTrainOutput {
-        self.train_parallel_with(sys, episodes, par, &RunOptions::default())
-            .expect("training configuration is valid")
-    }
-
-    /// [`Scenario::train_parallel`] with run options (checkpointing,
-    /// supervision, early stop). With `RunOptions::default()` this is
-    /// bit-identical to [`Scenario::train_parallel`].
+    /// Trains with `par.n_envs` rollout environments and run options
+    /// (checkpointing, supervision, early stop). Deterministic given the
+    /// scenario seed and `par.n_envs`; `par.workers` only moves wall-clock
+    /// time.
     pub fn train_parallel_with(
         &self,
-        sys: &FlSystem,
+        sys: &FleetSim,
         episodes: usize,
         par: &ParallelConfig,
         opts: &RunOptions,
@@ -266,7 +254,7 @@ impl Scenario {
     /// — the per-round worker telemetry.
     pub fn train_cached(
         &self,
-        sys: &FlSystem,
+        sys: &FleetSim,
         config: &TrainConfig,
         par: &ParallelConfig,
     ) -> (

@@ -14,7 +14,7 @@ use crate::flenv::build_system_with;
 use crate::train::{train_drl, TrainConfig};
 use crate::{CtrlError, Result};
 use fl_net::synth::Profile;
-use fl_sim::{DeviceSampler, FlConfig, FlSystem};
+use fl_sim::{DeviceSampler, FlConfig, FleetSim};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -159,7 +159,7 @@ impl ExperimentConfig {
     }
 
     /// Builds the deterministic system for this experiment.
-    pub fn build_system(&self) -> Result<FlSystem> {
+    pub fn build_system(&self) -> Result<FleetSim> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         build_system_with(
             self.n_devices,
@@ -174,7 +174,7 @@ impl ExperimentConfig {
 
     /// Trains the DRL controller for this experiment (only needed when the
     /// line-up includes [`ControllerKind::Drl`]).
-    pub fn train_drl(&self, sys: &FlSystem) -> Result<DrlController> {
+    pub fn train_drl(&self, sys: &FleetSim) -> Result<DrlController> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xD51);
         Ok(train_drl(sys, &self.train, &mut rng)?.controller)
     }
@@ -183,7 +183,7 @@ impl ExperimentConfig {
     pub fn make_controller(
         &self,
         kind: &ControllerKind,
-        sys: &FlSystem,
+        sys: &FleetSim,
         drl: Option<&DrlController>,
     ) -> Result<Box<dyn FrequencyController + Send>> {
         let min_frac = self.train.env.min_freq_frac;

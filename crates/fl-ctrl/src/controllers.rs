@@ -4,12 +4,12 @@ use crate::flenv::{squash_to_freq, ObsMode};
 use crate::solver::{optimize_frequencies, SolverParams};
 use crate::{CtrlError, Result};
 use fl_rl::{GaussianPolicy, RunningNorm};
-use fl_sim::{FlSystem, FleetRound, FleetSim, IterationReport};
+use fl_sim::{FleetRound, FleetSim, IterationReport};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A per-iteration CPU-frequency policy, evaluated online against the same
-/// [`FlSystem`] physics for every approach (Section V's comparison).
+/// [`FleetSim`] physics for every approach (Section V's comparison).
 pub trait FrequencyController {
     /// Human-readable name used in reports.
     fn name(&self) -> &str;
@@ -21,7 +21,7 @@ pub trait FrequencyController {
         &mut self,
         k: usize,
         t_start: f64,
-        sys: &FlSystem,
+        sys: &FleetSim,
         prev: Option<&IterationReport>,
     ) -> Result<Vec<f64>>;
 
@@ -29,7 +29,7 @@ pub trait FrequencyController {
     fn reset(&mut self) {}
 }
 
-fn solver_params(sys: &FlSystem, min_freq_frac: f64) -> SolverParams {
+fn solver_params(sys: &FleetSim, min_freq_frac: f64) -> SolverParams {
     let c = sys.config();
     SolverParams {
         tau: c.tau,
@@ -41,7 +41,7 @@ fn solver_params(sys: &FlSystem, min_freq_frac: f64) -> SolverParams {
 
 /// Long-run mean bandwidth of each device's trace — the "average of some
 /// randomly selected bandwidth data" the Static baseline is built from.
-fn trace_mean_bandwidths(sys: &FlSystem) -> Result<Vec<f64>> {
+fn trace_mean_bandwidths(sys: &FleetSim) -> Result<Vec<f64>> {
     (0..sys.num_devices())
         .map(|i| Ok(sys.trace_of(i)?.mean()))
         .collect()
@@ -63,10 +63,10 @@ impl FrequencyController for MaxFreqController {
         &mut self,
         _k: usize,
         _t: f64,
-        sys: &FlSystem,
+        sys: &FleetSim,
         _prev: Option<&IterationReport>,
     ) -> Result<Vec<f64>> {
-        Ok(sys.fleet().max_freqs())
+        Ok(sys.max_freqs())
     }
 }
 
@@ -91,7 +91,7 @@ impl StaticController {
     /// these bandwidth data" — i.e. one *pool-wide* average (random
     /// instants from random traces), applied to every device.
     pub fn new(
-        sys: &FlSystem,
+        sys: &FleetSim,
         samples: usize,
         min_freq_frac: f64,
         rng: &mut impl Rng,
@@ -133,7 +133,7 @@ impl FrequencyController for StaticController {
         &mut self,
         _k: usize,
         _t: f64,
-        sys: &FlSystem,
+        sys: &FleetSim,
         _prev: Option<&IterationReport>,
     ) -> Result<Vec<f64>> {
         if self.plan.is_none() {
@@ -185,7 +185,7 @@ impl FrequencyController for HeuristicController {
         &mut self,
         _k: usize,
         _t: f64,
-        sys: &FlSystem,
+        sys: &FleetSim,
         prev: Option<&IterationReport>,
     ) -> Result<Vec<f64>> {
         let estimates: Vec<f64> = match prev {
@@ -243,7 +243,7 @@ impl PredictiveController {
     /// prior.
     pub fn uniform(
         label: &str,
-        sys: &FlSystem,
+        sys: &FleetSim,
         min_freq_frac: f64,
         make: impl Fn(f64) -> Box<dyn fl_net::predict::Predictor + Send>,
     ) -> Result<Self> {
@@ -272,7 +272,7 @@ impl FrequencyController for PredictiveController {
         &mut self,
         _k: usize,
         _t: f64,
-        sys: &FlSystem,
+        sys: &FleetSim,
         prev: Option<&IterationReport>,
     ) -> Result<Vec<f64>> {
         if self.predictors.len() != sys.num_devices() {
@@ -325,8 +325,8 @@ impl OracleController {
 
     /// Exact finish time (relative to `t_start`) of a device running at
     /// frequency `f`, via trace integration.
-    fn finish_time(sys: &FlSystem, device: usize, t_start: f64, freq: f64) -> Result<f64> {
-        let d = sys.fleet().state().device(device);
+    fn finish_time(sys: &FleetSim, device: usize, t_start: f64, freq: f64) -> Result<f64> {
+        let d = sys.state().device(device);
         let compute = d.compute_time(sys.config().tau, freq);
         let comm = sys
             .trace_of(device)?
@@ -337,13 +337,13 @@ impl OracleController {
     /// Minimal frequency meeting deadline `rel_deadline` for one device
     /// (bisection; finish time is non-increasing in frequency).
     fn min_feasible_freq(
-        sys: &FlSystem,
+        sys: &FleetSim,
         device: usize,
         t_start: f64,
         rel_deadline: f64,
         min_frac: f64,
     ) -> Result<f64> {
-        let cap = sys.fleet().state().delta_max_ghz[device];
+        let cap = sys.state().delta_max_ghz[device];
         let mut lo = min_frac * cap;
         let mut hi = cap;
         if Self::finish_time(sys, device, t_start, hi)? > rel_deadline {
@@ -363,7 +363,7 @@ impl OracleController {
         Ok(hi)
     }
 
-    fn exact_cost(sys: &FlSystem, t_start: f64, freqs: &[f64]) -> Result<f64> {
+    fn exact_cost(sys: &FleetSim, t_start: f64, freqs: &[f64]) -> Result<f64> {
         let report = sys.run_iteration(t_start, freqs)?;
         Ok(report.cost(sys.config().lambda))
     }
@@ -384,14 +384,14 @@ impl FrequencyController for OracleController {
         &mut self,
         _k: usize,
         t_start: f64,
-        sys: &FlSystem,
+        sys: &FleetSim,
         _prev: Option<&IterationReport>,
     ) -> Result<Vec<f64>> {
         let n = sys.num_devices();
         // Deadline range from the exact finish times at the extremes.
         let mut t_lo: f64 = 0.0;
         let mut t_hi: f64 = 0.0;
-        for (i, &cap) in sys.fleet().state().delta_max_ghz.iter().enumerate() {
+        for (i, &cap) in sys.state().delta_max_ghz.iter().enumerate() {
             t_lo = t_lo.max(Self::finish_time(sys, i, t_start, cap)?);
             t_hi = t_hi.max(Self::finish_time(
                 sys,
@@ -482,8 +482,7 @@ impl DrlController {
     /// unchanged (the pooled observation width is fleet-size independent);
     /// only the per-device statics — and hence the action dimension — are
     /// rebuilt, straight from the fleet's struct-of-arrays state. Errors
-    /// for non-broadcast policies. An [`FlSystem`] rebinds through
-    /// `with_fleet_sim(sys.fleet())`.
+    /// for non-broadcast policies.
     pub fn with_fleet_sim(&self, fleet: &FleetSim) -> Result<Self> {
         let statics = crate::train::fleet_statics(fleet.state(), fleet.config().tau);
         let policy = self.policy.with_fleet(statics).map_err(CtrlError::from)?;
@@ -588,7 +587,7 @@ impl FrequencyController for DrlController {
         &mut self,
         _k: usize,
         t_start: f64,
-        sys: &FlSystem,
+        sys: &FleetSim,
         prev: Option<&IterationReport>,
     ) -> Result<Vec<f64>> {
         let n = sys.num_devices();
@@ -613,12 +612,12 @@ impl FrequencyController for DrlController {
                     }
                 }
                 Ok(self
-                    .decide_rows(&[obs], &sys.fleet().state().delta_max_ghz)?
+                    .decide_rows(&[obs], &sys.state().delta_max_ghz)?
                     .remove(0))
             }
             ObsMode::Pooled => {
                 let survival = prev.map_or(1.0, |r| r.survivors() as f64 / n as f64);
-                self.decide_pooled(t_start, sys.fleet(), survival)
+                self.decide_pooled(t_start, sys, survival)
             }
         }
     }
@@ -633,7 +632,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn system(seed: u64, n: usize) -> FlSystem {
+    fn system(seed: u64, n: usize) -> FleetSim {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         build_system(
             n,
@@ -841,7 +840,7 @@ mod tests {
         let h = 4usize;
         let per_device = 3 * (h + 1);
         let pooled = fl_sim::pooled_obs_dim(h, false);
-        let statics = crate::train::fleet_statics(sys.fleet().state(), sys.fleet().config().tau);
+        let statics = crate::train::fleet_statics(sys.state(), sys.config().tau);
         for delta in [0isize, -1, 1] {
             let mut rng = ChaCha8Rng::seed_from_u64(14);
             let w = per_device.checked_add_signed(delta).unwrap();
@@ -856,7 +855,7 @@ mod tests {
             let norm = RunningNorm::new(w, 10.0);
             let mut c = DrlController::new(policy, norm, 10.0, h, 0.1).unwrap();
             c.obs_mode = ObsMode::Pooled;
-            assert_eq!(c.decide_fleet(200.0, sys.fleet(), None).is_ok(), delta == 0);
+            assert_eq!(c.decide_fleet(200.0, &sys, None).is_ok(), delta == 0);
             assert_eq!(c.decide(0, 200.0, &sys, None).is_ok(), delta == 0);
         }
     }

@@ -5,7 +5,7 @@
 //! state; it is private to the training loop and useless without the
 //! `TrainConfig` that produced it. Serving needs something else: a
 //! self-contained artifact that a long-lived decision server can load from
-//! disk, validate, and evaluate — with no `FlSystem` in the process. That
+//! disk, validate, and evaluate — with no simulator in the process. That
 //! artifact is [`ControllerSnapshot`]:
 //!
 //! * the trained [`DrlController`] (policy weights, frozen Welford
@@ -33,7 +33,7 @@
 use crate::controllers::DrlController;
 use crate::{CtrlError, Result};
 use fl_rl::snapshot::{crc32, decode_payload, encode_payload, CheckpointStore};
-use fl_sim::FlSystem;
+use fl_sim::FleetSim;
 use serde::{Deserialize, Serialize};
 
 /// A self-contained, deployable decision artifact: trained controller plus
@@ -85,8 +85,8 @@ impl ControllerSnapshot {
 
     /// Packages a controller with the caps of the system it was trained
     /// against — the usual export path after training.
-    pub fn from_system(controller: DrlController, sys: &FlSystem) -> Result<Self> {
-        let caps = sys.fleet().max_freqs();
+    pub fn from_system(controller: DrlController, sys: &FleetSim) -> Result<Self> {
+        let caps = sys.max_freqs();
         Self::new(controller, caps)
     }
 
@@ -182,7 +182,7 @@ mod tests {
         dir
     }
 
-    fn snapshot(seed: u64) -> (fl_sim::FlSystem, ControllerSnapshot) {
+    fn snapshot(seed: u64) -> (fl_sim::FleetSim, ControllerSnapshot) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let sys = build_system(
             3,

@@ -2,7 +2,7 @@
 
 use crate::controllers::FrequencyController;
 use crate::{CtrlError, Result};
-use fl_sim::{FaultPlan, FlSystem, SessionLedger};
+use fl_sim::{FaultPlan, FleetSim, SessionLedger};
 use serde::{Deserialize, Serialize};
 
 /// A finished controller evaluation.
@@ -32,7 +32,7 @@ impl ControllerRun {
 /// information its kind is allowed (bandwidth history for DRL, previous
 /// iteration for Heuristic, nothing for Static), then the system executes.
 pub fn run_controller(
-    sys: &FlSystem,
+    sys: &FleetSim,
     ctrl: &mut dyn FrequencyController,
     iterations: usize,
     t_start: f64,
@@ -45,7 +45,7 @@ pub fn run_controller(
 /// makes chaos comparisons fair — each approach faces the identical
 /// dropout/straggler/blackout realization. `None` is the fault-free path.
 pub fn run_controller_faulty(
-    sys: &FlSystem,
+    sys: &FleetSim,
     ctrl: &mut dyn FrequencyController,
     iterations: usize,
     t_start: f64,
@@ -84,7 +84,7 @@ pub fn run_controller_faulty(
 /// bounded work-stealing pool (they only read the system). Results come
 /// back in input order regardless of scheduling.
 pub fn compare_controllers(
-    sys: &FlSystem,
+    sys: &FleetSim,
     controllers: Vec<Box<dyn FrequencyController + Send>>,
     iterations: usize,
     t_start: f64,
@@ -95,7 +95,7 @@ pub fn compare_controllers(
 /// [`compare_controllers`] under a pinned fault schedule — every controller
 /// faces the identical chaos realization (see [`run_controller_faulty`]).
 pub fn compare_controllers_faulty(
-    sys: &FlSystem,
+    sys: &FleetSim,
     controllers: Vec<Box<dyn FrequencyController + Send>>,
     iterations: usize,
     t_start: f64,
@@ -214,7 +214,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn system(seed: u64) -> FlSystem {
+    fn system(seed: u64) -> FleetSim {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         build_system(
             3,

@@ -2,7 +2,7 @@
 
 use crate::{CtrlError, Result};
 use fl_rl::{Environment, Step};
-use fl_sim::{FaultModel, FaultPlan, FlSystem, IterationReport};
+use fl_sim::{FaultModel, FaultPlan, FleetSim, IterationReport};
 use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -121,7 +121,7 @@ pub fn squash_to_freq(raw: f64, delta_max: f64, min_frac: f64) -> f64 {
 /// * **Episode**: `episode_len` synchronized FL iterations starting from a
 ///   uniformly random trace time (Algorithm 1 line 6).
 pub struct FlFreqEnv {
-    sys: FlSystem,
+    sys: FleetSim,
     cfg: EnvConfig,
     t: f64,
     k: usize,
@@ -147,7 +147,7 @@ pub struct FlFreqEnv {
 
 impl FlFreqEnv {
     /// Wraps a federated-learning system as an MDP.
-    pub fn new(sys: FlSystem, cfg: EnvConfig) -> Result<Self> {
+    pub fn new(sys: FleetSim, cfg: EnvConfig) -> Result<Self> {
         cfg.validate()?;
         let n = sys.num_devices();
         Ok(FlFreqEnv {
@@ -175,7 +175,7 @@ impl FlFreqEnv {
     }
 
     /// The wrapped system.
-    pub fn system(&self) -> &FlSystem {
+    pub fn system(&self) -> &FleetSim {
         &self.sys
     }
 
@@ -224,7 +224,6 @@ impl FlFreqEnv {
     /// Squashes a raw action vector into per-device frequencies.
     pub fn map_action(&self, raw: &[f64]) -> Vec<f64> {
         self.sys
-            .fleet()
             .state()
             .delta_max_ghz
             .iter()
@@ -254,7 +253,7 @@ impl FlFreqEnv {
                 let survival = self.cfg.faults_enabled().then(|| {
                     self.flags.iter().fold(0.0, |a, &f| a + f) / self.flags.len().max(1) as f64
                 });
-                Ok(self.sys.fleet().observe_pooled(
+                Ok(self.sys.observe_pooled(
                     self.t,
                     self.cfg.slot_h,
                     self.cfg.history_len,
@@ -498,7 +497,7 @@ pub fn build_system(
     trace_slots: usize,
     config: fl_sim::FlConfig,
     rng: &mut impl Rng,
-) -> Result<FlSystem> {
+) -> Result<FleetSim> {
     build_system_with(
         n_devices,
         n_traces,
@@ -521,11 +520,11 @@ pub fn build_system_with(
     config: fl_sim::FlConfig,
     sampler: &fl_sim::DeviceSampler,
     rng: &mut impl Rng,
-) -> Result<FlSystem> {
+) -> Result<FleetSim> {
     let traces = fl_net::TraceSet::from_profile(profile, n_traces, trace_slots, 1.0, rng)?;
     let assignment = traces.assign(n_devices, rng);
-    let devices = sampler.sample_fleet(&assignment, rng);
-    Ok(FlSystem::new(devices, traces, config)?)
+    let state = fl_sim::FleetState::sample(sampler, &assignment, rng)?;
+    Ok(FleetSim::new(state, traces, config)?)
 }
 
 #[cfg(test)]

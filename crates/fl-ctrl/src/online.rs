@@ -12,7 +12,7 @@ use crate::controllers::FrequencyController;
 use crate::flenv::{squash_to_freq, EnvConfig};
 use crate::{CtrlError, Result};
 use fl_rl::{PpoAgent, RolloutBuffer, Transition};
-use fl_sim::{FlSystem, IterationReport};
+use fl_sim::{FleetSim, IterationReport};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -113,7 +113,7 @@ impl FrequencyController for OnlineDrlController {
         &mut self,
         _k: usize,
         t_start: f64,
-        sys: &FlSystem,
+        sys: &FleetSim,
         prev: Option<&IterationReport>,
     ) -> Result<Vec<f64>> {
         // Settle the previous action's transition now that its outcome is
@@ -152,7 +152,6 @@ impl FrequencyController for OnlineDrlController {
             .act(&obs, &mut self.rng)
             .map_err(CtrlError::from)?;
         let freqs: Vec<f64> = sys
-            .fleet()
             .state()
             .delta_max_ghz
             .iter()
@@ -183,7 +182,7 @@ mod tests {
     use fl_rl::PpoConfig;
     use fl_sim::FlConfig;
 
-    fn setup() -> (FlSystem, OnlineDrlController) {
+    fn setup() -> (FleetSim, OnlineDrlController) {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let sys = build_system(
             2,

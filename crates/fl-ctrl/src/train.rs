@@ -11,7 +11,7 @@ use fl_obs::{Event, Recorder};
 use fl_rl::runner::{RunnerState, VecEnvRunner};
 use fl_rl::snapshot::{self, CheckpointStore, RngState};
 use fl_rl::{Environment, PpoAgent, PpoConfig, RolloutBuffer};
-use fl_sim::FlSystem;
+use fl_sim::FleetSim;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -182,7 +182,7 @@ impl TrainConfig {
 /// roughly unit-scaled so they sit comfortably next to the whitened
 /// bandwidth features. Row `d` is
 /// `[τ·c_d·D_d/2, δ_d^max, 2α_d, 4e_d]`, read straight from the fleet's
-/// struct-of-arrays state (an [`FlSystem`] passes `sys.fleet().state()`).
+/// struct-of-arrays state ([`FleetSim::state`]).
 /// Public so deployment harnesses can rebuild the matrix for a *different*
 /// fleet when rebinding a broadcast policy (`GaussianPolicy::with_fleet`).
 pub fn fleet_statics(state: &fl_sim::FleetState, tau: u32) -> fl_nn::Matrix {
@@ -200,7 +200,7 @@ pub fn fleet_statics(state: &fl_sim::FleetState, tau: u32) -> fl_nn::Matrix {
 
 /// Initializes the agent for the selected actor architecture.
 fn build_agent(
-    sys: &FlSystem,
+    sys: &FleetSim,
     config: &TrainConfig,
     obs_dim: usize,
     action_dim: usize,
@@ -214,7 +214,7 @@ fn build_agent(
             let policy = fl_rl::GaussianPolicy::new_shared(
                 sys.num_devices(),
                 config.env.history_len + 1,
-                fleet_statics(sys.fleet().state(), sys.config().tau),
+                fleet_statics(sys.state(), sys.config().tau),
                 &config.ppo.hidden,
                 config.ppo.init_log_std,
                 rng,
@@ -225,7 +225,7 @@ fn build_agent(
         PolicyArch::Broadcast => {
             let policy = fl_rl::GaussianPolicy::new_broadcast(
                 obs_dim,
-                fleet_statics(sys.fleet().state(), sys.config().tau),
+                fleet_statics(sys.state(), sys.config().tau),
                 &config.ppo.hidden,
                 config.ppo.init_log_std,
                 rng,
@@ -250,7 +250,7 @@ fn build_agent(
 /// A shortcut for [`train_drl_parallel_opt`] at [`ParallelConfig::SERIAL`]
 /// with default options.
 pub fn train_drl(
-    sys: &FlSystem,
+    sys: &FleetSim,
     config: &TrainConfig,
     rng: &mut ChaCha8Rng,
 ) -> Result<TrainOutput> {
@@ -613,7 +613,7 @@ pub struct ParallelTrainOutput {
 /// total is rounded up to a whole number of rounds, then truncated to
 /// `config.episodes` in the stats.
 pub fn train_drl_parallel(
-    sys: &FlSystem,
+    sys: &FleetSim,
     config: &TrainConfig,
     par: &ParallelConfig,
     rng: &mut ChaCha8Rng,
@@ -641,7 +641,7 @@ pub fn train_drl_parallel(
 /// ([`ParallelTrainOutput::rounds`]) covers only the rounds this process
 /// executed — it is physical, not part of the deterministic state.
 pub fn train_drl_parallel_opt(
-    sys: &FlSystem,
+    sys: &FleetSim,
     config: &TrainConfig,
     par: &ParallelConfig,
     rng: &mut ChaCha8Rng,
@@ -853,7 +853,7 @@ mod tests {
         }
     }
 
-    fn system(seed: u64) -> FlSystem {
+    fn system(seed: u64) -> FleetSim {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         build_system(
             2,
@@ -1015,7 +1015,7 @@ mod tests {
         )
         .unwrap();
         assert!(ctrl.decide(0, 500.0, &big, None).is_err());
-        let mut rebound = ctrl.with_fleet_sim(big.fleet()).unwrap();
+        let mut rebound = ctrl.with_fleet_sim(&big).unwrap();
         assert_eq!(
             rebound.policy().mean_net().export_params(),
             ctrl.policy().mean_net().export_params()

@@ -8,23 +8,10 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Server-side FedAvg configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FedAvgConfig {
     /// Local optimization settings applied on every device.
     pub local: LocalTrainer,
-    /// Run device updates on parallel threads (one per device). Determinism
-    /// is preserved either way: each device gets a seed drawn from the
-    /// caller's RNG *before* the fan-out, and aggregation order is fixed.
-    pub parallel: bool,
-}
-
-impl Default for FedAvgConfig {
-    fn default() -> Self {
-        FedAvgConfig {
-            local: LocalTrainer::default(),
-            parallel: true,
-        }
-    }
 }
 
 /// `D_n`-weighted parameter averaging (the weighting of Eq. 8), extracted
@@ -33,31 +20,6 @@ impl Default for FedAvgConfig {
 /// (e.g. shard sizes); they are normalized internally, so only their ratios
 /// matter.
 pub fn aggregate_params(updates: &[Vec<f64>], weights: &[f64]) -> Result<Vec<f64>> {
-    let dim = validate_aggregation(updates, weights)?;
-    let total: f64 = weights.iter().sum();
-    if !(total > 0.0) {
-        return Err(LearnError::InvalidArgument(
-            "weights must not all be zero".to_string(),
-        ));
-    }
-    // Accumulate Σ w_i·p_i first and divide by Σ w_i once at the end: with
-    // integral weights (shard sizes) the intermediate sums stay exact, so
-    // small hand-computed cases aggregate without rounding error.
-    let mut aggregated = vec![0.0; dim];
-    for (update, weight) in updates.iter().zip(weights) {
-        for (agg, p) in aggregated.iter_mut().zip(update) {
-            *agg += weight * p;
-        }
-    }
-    for agg in &mut aggregated {
-        *agg /= total;
-    }
-    Ok(aggregated)
-}
-
-/// Shared validation for the flat and tree aggregators; returns the
-/// parameter dimension.
-fn validate_aggregation(updates: &[Vec<f64>], weights: &[f64]) -> Result<usize> {
     if updates.is_empty() {
         return Err(LearnError::InvalidArgument(
             "need at least one update to aggregate".to_string(),
@@ -81,135 +43,25 @@ fn validate_aggregation(updates: &[Vec<f64>], weights: &[f64]) -> Result<usize> 
             "weights must be finite and non-negative".to_string(),
         ));
     }
-    Ok(dim)
-}
-
-/// Level-1 partials of the fixed-arity aggregation tree over device range
-/// `range`: one `(Σ w_i·p_i, Σ w_i)` pair per
-/// [`fl_pool::tree::TREE_ARITY`]-sized device group, each accumulated
-/// left-to-right from a `0.0` accumulator — the *exact* op sequence
-/// [`aggregate_params`] performs, restricted to the group. (The fedavg
-/// tree folds from `+0.0`, unlike the energy tree's `Iterator::sum`,
-/// because `aggregate_params` starts from `vec![0.0; dim]` and parameter
-/// values — unlike energies — may be negative zero.)
-fn weighted_group_partials(
-    updates: &[Vec<f64>],
-    weights: &[f64],
-    range: std::ops::Range<usize>,
-    dim: usize,
-) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let n_groups = range.len().div_ceil(fl_pool::tree::TREE_ARITY);
-    let mut sums = Vec::with_capacity(n_groups);
-    let mut totals = Vec::with_capacity(n_groups);
-    let mut start = range.start;
-    while start < range.end {
-        let end = (start + fl_pool::tree::TREE_ARITY).min(range.end);
-        let mut acc = vec![0.0; dim];
-        let mut w_acc = 0.0_f64;
-        for i in start..end {
-            let w = weights[i];
-            for (a, &p) in acc.iter_mut().zip(&updates[i]) {
-                *a += w * p;
-            }
-            w_acc += w;
-        }
-        sums.push(acc);
-        totals.push(w_acc);
-        start = end;
-    }
-    (sums, totals)
-}
-
-/// Collapses level-1 partials into the aggregate, dividing the tree-summed
-/// weighted parameters by the tree-summed weight total. The op sequence
-/// depends only on the number of level-1 groups, never on how they were
-/// produced.
-fn finish_tree_aggregate(
-    mut sums: Vec<Vec<f64>>,
-    mut totals: Vec<f64>,
-    dim: usize,
-) -> Result<Vec<f64>> {
-    while sums.len() > 1 {
-        sums = sums
-            .chunks(fl_pool::tree::TREE_ARITY)
-            .map(|c| {
-                let mut acc = vec![0.0; dim];
-                for g in c {
-                    for (a, &v) in acc.iter_mut().zip(g) {
-                        *a += v;
-                    }
-                }
-                acc
-            })
-            .collect();
-        totals = totals
-            .chunks(fl_pool::tree::TREE_ARITY)
-            .map(|c| c.iter().fold(0.0, |a, &v| a + v))
-            .collect();
-    }
-    let total = totals.first().copied().unwrap_or(0.0);
-    // A sum of non-negative floats is positive iff some term is positive,
-    // in any association — so this check agrees with the flat one.
+    let total: f64 = weights.iter().sum();
     if !(total > 0.0) {
         return Err(LearnError::InvalidArgument(
             "weights must not all be zero".to_string(),
         ));
     }
-    let mut aggregated = sums.pop().expect("non-empty by validation");
+    // Accumulate Σ w_i·p_i first and divide by Σ w_i once at the end: with
+    // integral weights (shard sizes) the intermediate sums stay exact, so
+    // small hand-computed cases aggregate without rounding error.
+    let mut aggregated = vec![0.0; dim];
+    for (update, weight) in updates.iter().zip(weights) {
+        for (agg, p) in aggregated.iter_mut().zip(update) {
+            *agg += weight * p;
+        }
+    }
     for agg in &mut aggregated {
         *agg /= total;
     }
     Ok(aggregated)
-}
-
-/// Fixed-arity tree-reduce FedAvg: hierarchical `D_n`-weighted averaging
-/// whose floating-point op sequence is a pure function of the update
-/// count.
-///
-/// For `updates.len() <= fl_pool::tree::TREE_ARITY` the tree degenerates
-/// to a single flat left-to-right accumulation and the result is
-/// **bit-identical** to [`aggregate_params`] for arbitrary inputs — the
-/// overlap regime the fleet determinism suite pins. Beyond the arity the
-/// association differs from the flat fold (floating-point addition is not
-/// associative), but the result is a pure function of the update count:
-/// see [`tree_aggregate_params_sharded`] for the shard-invariance
-/// contract.
-pub fn tree_aggregate_params(updates: &[Vec<f64>], weights: &[f64]) -> Result<Vec<f64>> {
-    let dim = validate_aggregation(updates, weights)?;
-    let (sums, totals) = weighted_group_partials(updates, weights, 0..updates.len(), dim);
-    finish_tree_aggregate(sums, totals, dim)
-}
-
-/// Sharded hierarchical FedAvg on the `fl-pool` work-stealing pool:
-/// each shard computes the level-1 partials for an
-/// [`fl_pool::tree::aligned_shard_ranges`] device range, and the partials
-/// — concatenated in shard order — reproduce the serial level-1 array
-/// bit-for-bit because shard boundaries always land on group boundaries.
-/// The result is therefore **bit-identical to [`tree_aggregate_params`]
-/// for every `shards`/`workers` combination**, including shards whose
-/// devices all carry zero weight (all-dropped shards).
-pub fn tree_aggregate_params_sharded(
-    updates: &[Vec<f64>],
-    weights: &[f64],
-    shards: usize,
-    workers: usize,
-) -> Result<Vec<f64>> {
-    let dim = validate_aggregation(updates, weights)?;
-    let ranges = fl_pool::tree::aligned_shard_ranges(
-        updates.len(),
-        shards.max(1),
-        fl_pool::tree::TREE_ARITY,
-    );
-    let run = fl_pool::run_indexed(workers.max(1), ranges, |_, range| {
-        weighted_group_partials(updates, weights, range, dim)
-    });
-    let mut sums = Vec::new();
-    let mut totals = Vec::new();
-    for (s, t) in run.results {
-        sums.extend(s);
-        totals.extend(t);
-    }
-    finish_tree_aggregate(sums, totals, dim)
 }
 
 /// Metrics from one federated round.
@@ -353,7 +205,6 @@ impl FedAvg {
         self.round_with_participants(shards, &idx, rng)
     }
 
-    #[allow(clippy::type_complexity)] // one-off result-collection vector
     fn round_inner(&mut self, shards: &[LabeledData], rng: &mut ChaCha8Rng) -> Result<RoundReport> {
         if shards.is_empty() {
             return Err(LearnError::InvalidArgument(
@@ -365,34 +216,17 @@ impl FedAvg {
                 "every shard must be non-empty".to_string(),
             ));
         }
-        // Draw per-device seeds up front so parallel and serial execution
-        // produce identical results.
+        // Draw per-device seeds before the fan-out, and collect results in
+        // device order, so the worker count never changes a bit.
         let seeds: Vec<u64> = shards.iter().map(|_| rng.gen()).collect();
         let trainer = self.config.local;
         let global = &self.global;
-
-        let results: Vec<Result<(Vec<f64>, f64)>> = if self.config.parallel && shards.len() > 1 {
-            let mut slots: Vec<Option<Result<(Vec<f64>, f64)>>> = Vec::new();
-            slots.resize_with(shards.len(), || None);
-            crossbeam::thread::scope(|scope| {
-                for ((shard, seed), slot) in shards.iter().zip(&seeds).zip(slots.iter_mut()) {
-                    scope.spawn(move |_| {
-                        *slot = Some(Self::local_update(global, trainer, shard, *seed));
-                    });
-                }
-            })
-            .expect("local training thread panicked");
-            slots
-                .into_iter()
-                .map(|s| s.expect("every slot filled by its thread"))
-                .collect()
-        } else {
-            shards
-                .iter()
-                .zip(&seeds)
-                .map(|(shard, seed)| Self::local_update(global, trainer, shard, *seed))
-                .collect()
-        };
+        let results = fl_pool::run_indexed(
+            fl_pool::env_workers(),
+            shards.iter().zip(seeds).collect(),
+            |_, (shard, seed)| Self::local_update(global, trainer, shard, seed),
+        )
+        .results;
 
         // D_n-weighted parameter average (the weighting of Eq. 8).
         let weights: Vec<f64> = shards.iter().map(|s| s.len() as f64).collect();
@@ -493,7 +327,6 @@ impl FedAvg {
 mod tests {
     use super::*;
     use crate::data::{gaussian_blobs, split_non_iid};
-    use proptest::prelude::*;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
@@ -541,22 +374,37 @@ mod tests {
         assert!(acc > 0.8, "non-IID accuracy {acc}");
     }
 
+    /// A round fans local updates out over the worker pool; it must equal
+    /// a serial reference built by hand: seeds drawn up front, one
+    /// `local_update` per shard in order, then `aggregate_params`.
     #[test]
     fn parallel_matches_serial() {
-        let (fed_template, shards) = setup(6, 200, 4, 0.3);
-        let mut fed_par = fed_template.clone();
-        let mut fed_ser = fed_template.clone();
-        fed_par.config.parallel = true;
-        fed_ser.config.parallel = false;
+        let (mut fed, shards) = setup(6, 200, 4, 0.3);
+        let mut serial = fed.clone();
         let mut r1 = rng(7);
         let mut r2 = rng(7);
-        let rp = fed_par.round(&shards, &mut r1).unwrap();
-        let rs = fed_ser.round(&shards, &mut r2).unwrap();
+        fed.round(&shards, &mut r1).unwrap();
+
+        let seeds: Vec<u64> = shards.iter().map(|_| r2.gen()).collect();
+        let updates: Vec<Vec<f64>> = shards
+            .iter()
+            .zip(&seeds)
+            .map(|(shard, &seed)| {
+                FedAvg::local_update(&serial.global, serial.config.local, shard, seed)
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        let weights: Vec<f64> = shards.iter().map(|s| s.len() as f64).collect();
+        let aggregated = aggregate_params(&updates, &weights).unwrap();
+        serial.global.import_params(&aggregated).unwrap();
+
+        let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            fed_par.global().export_params(),
-            fed_ser.global().export_params()
+            bits(fed.global().export_params()),
+            bits(serial.global().export_params())
         );
-        assert_eq!(rp, rs);
+        assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
     }
 
     #[test]
@@ -613,170 +461,6 @@ mod tests {
         // Full-set sanity: [(2*1 + 3 + 10)/4, (2*2 + 5 + 20)/4].
         let full = aggregate_params(&updates, &weights).unwrap();
         assert_eq!(full, vec![15.0 / 4.0, 29.0 / 4.0]);
-    }
-
-    fn assert_bits_eq(a: &[f64], b: &[f64]) {
-        assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "bit mismatch at dim {i}: {x} vs {y}"
-            );
-        }
-    }
-
-    #[test]
-    fn golden_tree_3shard_aggregate() {
-        // 17 unit-weight devices, update j = [j, 2j]. With arity 8 the
-        // level-1 groups are [0..8), [8..16), [16..17):
-        //   sums   [28, 56], [92, 184], [16, 32]   totals 8, 8, 1
-        // level 2: [136, 272], total 17 → [8, 16] exactly.
-        let updates: Vec<Vec<f64>> = (0..17).map(|j| vec![j as f64, 2.0 * j as f64]).collect();
-        let weights = vec![1.0; 17];
-        let tree = tree_aggregate_params(&updates, &weights).unwrap();
-        assert_eq!(tree, vec![8.0, 16.0]);
-        // Three shards align exactly with the three groups; any worker
-        // count reproduces the same bits.
-        for workers in [1, 4] {
-            let sharded = tree_aggregate_params_sharded(&updates, &weights, 3, workers).unwrap();
-            assert_bits_eq(&tree, &sharded);
-        }
-    }
-
-    #[test]
-    fn tree_equals_flat_in_overlap_regime_golden() {
-        // At <= 8 updates the tree is one flat left-to-right fold: the
-        // existing golden flat cases must reproduce bitwise.
-        let updates = vec![vec![1.0, 2.0], vec![3.0, 5.0], vec![10.0, 20.0]];
-        let weights = [2.0, 1.0, 1.0];
-        assert_bits_eq(
-            &tree_aggregate_params(&updates, &weights).unwrap(),
-            &aggregate_params(&updates, &weights).unwrap(),
-        );
-        assert_eq!(
-            tree_aggregate_params(&updates, &weights).unwrap(),
-            vec![15.0 / 4.0, 29.0 / 4.0]
-        );
-    }
-
-    #[test]
-    fn all_dropped_shards_and_single_survivor() {
-        // 24 devices, three aligned groups; every weight zero except one
-        // survivor in the middle group. Shards whose devices all dropped
-        // contribute exact-zero partials, so the shard count still cannot
-        // change a bit — and the lone survivor's parameters come through.
-        let updates: Vec<Vec<f64>> = (0..24).map(|j| vec![j as f64 - 11.5]).collect();
-        let mut weights = vec![0.0; 24];
-        weights[13] = 3.0;
-        let serial = tree_aggregate_params(&updates, &weights).unwrap();
-        let flat = aggregate_params(&updates, &weights).unwrap();
-        assert_bits_eq(&serial, &flat);
-        for shards in [1, 2, 3, 8, 24, 100] {
-            let sharded = tree_aggregate_params_sharded(&updates, &weights, shards, 4).unwrap();
-            assert_bits_eq(&serial, &sharded);
-        }
-        assert_eq!(serial, vec![13.0 - 11.5]);
-        // All weights zero is rejected by both paths.
-        let zeros = vec![0.0; 24];
-        assert!(aggregate_params(&updates, &zeros).is_err());
-        assert!(tree_aggregate_params(&updates, &zeros).is_err());
-        assert!(tree_aggregate_params_sharded(&updates, &zeros, 3, 2).is_err());
-    }
-
-    #[test]
-    fn tree_aggregate_rejects_bad_inputs_like_flat() {
-        let u = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        assert!(tree_aggregate_params(&[], &[]).is_err());
-        assert!(tree_aggregate_params(&u, &[1.0]).is_err());
-        assert!(tree_aggregate_params(&u, &[1.0, -1.0]).is_err());
-        assert!(tree_aggregate_params(&u, &[1.0, f64::NAN]).is_err());
-        let ragged = vec![vec![1.0], vec![2.0, 3.0]];
-        assert!(tree_aggregate_params(&ragged, &[1.0, 1.0]).is_err());
-    }
-
-    /// Builds `n` device updates of dimension `dim` plus zero-heavy
-    /// non-negative weights (about half the devices dropped), guaranteeing
-    /// at least one survivor. Deterministic in `seed`.
-    fn aggregation_inputs(n: usize, dim: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
-        let mut r = rng(seed);
-        let updates: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..dim).map(|_| r.gen_range(-1e6..1e6)).collect())
-            .collect();
-        let mut weights: Vec<f64> = (0..n)
-            .map(|_| {
-                if r.gen_range(0..2) == 0 {
-                    0.0
-                } else {
-                    r.gen_range(0.001..8.0)
-                }
-            })
-            .collect();
-        if weights.iter().all(|&x| x == 0.0) {
-            weights[0] = 1.0;
-        }
-        (updates, weights)
-    }
-
-    proptest! {
-        /// In the overlap regime (`n <= TREE_ARITY`) the tree IS the flat
-        /// fold: bit-identical for arbitrary parameters and weights.
-        #[test]
-        fn prop_tree_matches_flat_overlap(
-            n in 1usize..=8,
-            dim in 1usize..=3,
-            seed in 0u64..1_000_000,
-        ) {
-            let (updates, weights) = aggregation_inputs(n, dim, seed);
-            let flat = aggregate_params(&updates, &weights).unwrap();
-            let tree = tree_aggregate_params(&updates, &weights).unwrap();
-            for (x, y) in flat.iter().zip(&tree) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-
-        /// Shard and worker counts never change a bit of the hierarchical
-        /// aggregate, for arbitrary device counts (including counts far
-        /// beyond the arity) and zero-heavy weights.
-        #[test]
-        fn prop_sharded_tree_is_shard_invariant(
-            n in 1usize..150,
-            dim in 1usize..=3,
-            seed in 0u64..1_000_000,
-            shards in 1usize..80,
-            workers in 1usize..5,
-        ) {
-            let (updates, weights) = aggregation_inputs(n, dim, seed);
-            let serial = tree_aggregate_params(&updates, &weights).unwrap();
-            let sharded =
-                tree_aggregate_params_sharded(&updates, &weights, shards, workers).unwrap();
-            for (x, y) in serial.iter().zip(&sharded) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-
-        /// A single survivor among arbitrarily many dropped devices comes
-        /// through bit-identically in the flat, serial-tree, and sharded
-        /// paths: zero-weight contributions are exact in IEEE arithmetic.
-        #[test]
-        fn prop_single_survivor_edge(
-            n in 1usize..120,
-            pos_frac in 0.0f64..1.0,
-            w in 0.001f64..8.0,
-            shards in 1usize..40,
-        ) {
-            let pos = ((n as f64 * pos_frac) as usize).min(n - 1);
-            let updates: Vec<Vec<f64>> =
-                (0..n).map(|j| vec![j as f64 * 0.5 - 3.0]).collect();
-            let mut weights = vec![0.0; n];
-            weights[pos] = w;
-            let flat = aggregate_params(&updates, &weights).unwrap();
-            let serial = tree_aggregate_params(&updates, &weights).unwrap();
-            let sharded =
-                tree_aggregate_params_sharded(&updates, &weights, shards, 2).unwrap();
-            prop_assert_eq!(flat[0].to_bits(), serial[0].to_bits());
-            prop_assert_eq!(serial[0].to_bits(), sharded[0].to_bits());
-        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   with a tunable label-skew parameter,
 //! * [`LocalTrainer`] — `τ` epochs of minibatch SGD on one device's shard
 //!   (Algorithm 1's "mobile devices train the model"),
-//! * [`FedAvg`] — the parameter server: broadcast, parallel local training
-//!   (one crossbeam thread per device), and `D_n`-weighted model averaging
+//! * [`FedAvg`] — the parameter server: broadcast, local training fanned
+//!   out over the `fl-pool` workers (`FL_WORKERS`), and `D_n`-weighted model averaging
 //!   (Eq. 8's weighting), with [`FedAvg::train_until`] implementing the
 //!   loss-threshold stopping rule of constraint (10).
 
@@ -29,10 +29,7 @@ mod local;
 pub use async_fedavg::{AsyncFedAvg, AsyncFedAvgConfig, AsyncUpdateReport};
 pub use data::LabeledData;
 pub use error::LearnError;
-pub use fedavg::{
-    aggregate_params, tree_aggregate_params, tree_aggregate_params_sharded, FedAvg, FedAvgConfig,
-    RoundReport,
-};
+pub use fedavg::{aggregate_params, FedAvg, FedAvgConfig, RoundReport};
 pub use local::{LocalTrainer, Objective};
 
 /// Convenience alias for results in this crate.

@@ -226,7 +226,7 @@ impl Event {
 
 /// A monotonically increasing counter handle. Cloning is cheap; clones
 /// share the same underlying atomic, so counters aggregate across cloned
-/// owners (e.g. one `FlSystem` cloned into many environments).
+/// owners (e.g. one `FleetSim` cloned into many environments).
 #[derive(Debug, Clone, Default)]
 pub struct Counter(Option<Arc<AtomicU64>>);
 

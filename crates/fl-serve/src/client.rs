@@ -228,41 +228,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Builds a policy from `FL_RETRY_*` environment variables, falling
-    /// back to [`RetryPolicy::default`] for anything unset or unparsable:
-    /// `FL_RETRY_MAX`, `FL_RETRY_BASE_MS`, `FL_RETRY_CAP_MS`,
-    /// `FL_RETRY_JITTER` (fraction), `FL_RETRY_SEED`,
-    /// `FL_RETRY_BUDGET_MS` (`0` = unbounded), `FL_RETRY_IO_TIMEOUT_MS`
-    /// (`0` = block forever).
-    pub fn from_env() -> Self {
-        fn parse<T: std::str::FromStr>(var: &str) -> Option<T> {
-            std::env::var(var).ok()?.trim().parse().ok()
-        }
-        let mut p = RetryPolicy::default();
-        if let Some(v) = parse::<u32>("FL_RETRY_MAX") {
-            p.max_retries = v;
-        }
-        if let Some(v) = parse::<u64>("FL_RETRY_BASE_MS") {
-            p.base = Duration::from_millis(v);
-        }
-        if let Some(v) = parse::<u64>("FL_RETRY_CAP_MS") {
-            p.cap = Duration::from_millis(v);
-        }
-        if let Some(v) = parse::<f64>("FL_RETRY_JITTER") {
-            p.jitter_frac = v;
-        }
-        if let Some(v) = parse::<u64>("FL_RETRY_SEED") {
-            p.seed = v;
-        }
-        if let Some(v) = parse::<u64>("FL_RETRY_BUDGET_MS") {
-            p.budget = (v > 0).then(|| Duration::from_millis(v));
-        }
-        if let Some(v) = parse::<u64>("FL_RETRY_IO_TIMEOUT_MS") {
-            p.io_timeout = (v > 0).then(|| Duration::from_millis(v));
-        }
-        p
-    }
-
     /// The delay before retry `attempt` (0-based): `base * 2^attempt`,
     /// capped, then jittered by a uniform draw from a fresh ChaCha8
     /// keyed by `seed` with the stream index set to `attempt` — the

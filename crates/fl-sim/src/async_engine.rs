@@ -9,7 +9,7 @@
 //! `AsyncFedAvg` consumes the event stream; the `abl_sync_async` bench
 //! compares both protocols on identical physics.
 
-use crate::{FlSystem, Result, SimError};
+use crate::{FleetSim, Result, SimError};
 use serde::{Deserialize, Serialize};
 
 /// One completed asynchronous round of one device.
@@ -72,7 +72,7 @@ impl AsyncSession {
 /// Per round, a device spends `τ c_i D_i / δ_i` computing, then uploads
 /// `ξ` MB through its bandwidth trace; its next round starts the instant
 /// the upload lands (downloads are free, as in the synchronized model).
-pub fn run_async(sys: &FlSystem, freqs: &[f64], t_start: f64, t_end: f64) -> Result<AsyncSession> {
+pub fn run_async(sys: &FleetSim, freqs: &[f64], t_start: f64, t_end: f64) -> Result<AsyncSession> {
     if freqs.len() != sys.num_devices() {
         return Err(SimError::InvalidArgument(format!(
             "expected {} frequencies, got {}",
@@ -131,12 +131,17 @@ pub fn run_async(sys: &FlSystem, freqs: &[f64], t_start: f64, t_end: f64) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeviceSampler, FlConfig, MobileDevice};
+    use crate::{DeviceSampler, FlConfig, FleetState, MobileDevice};
     use fl_net::{BandwidthTrace, TraceSet};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn flat_system(bws: &[f64], gcyc_factor: f64) -> FlSystem {
+    fn sim(devices: Vec<MobileDevice>, traces: TraceSet) -> FleetSim {
+        let state = FleetState::from_devices(&devices).unwrap();
+        FleetSim::new(state, traces, FlConfig::default()).unwrap()
+    }
+
+    fn flat_system(bws: &[f64], gcyc_factor: f64) -> FleetSim {
         let traces = TraceSet::new(
             bws.iter()
                 .map(|&b| BandwidthTrace::new(1.0, vec![b; 4]).unwrap().cyclic())
@@ -154,7 +159,7 @@ mod tests {
                 trace_idx: i,
             })
             .collect();
-        FlSystem::new(devices, traces, FlConfig::default()).unwrap()
+        sim(devices, traces)
     }
 
     #[test]
@@ -199,12 +204,7 @@ mod tests {
             tx_power_w: 0.2,
             trace_idx: id,
         };
-        let sys = FlSystem::new(
-            vec![mk(0, 62.5), mk(1, 15.625)],
-            traces,
-            FlConfig::default(),
-        )
-        .unwrap();
+        let sys = sim(vec![mk(0, 62.5), mk(1, 15.625)], traces);
         let s = run_async(&sys, &[2.0, 2.0], 0.0, 40.0).unwrap();
         assert_eq!(s.rounds_per_device(2), vec![4, 6]);
         // Arrivals are globally sorted.
@@ -230,7 +230,7 @@ mod tests {
                 .unwrap();
         let assignment = traces.assign(4, &mut rng);
         let devices = DeviceSampler::default().sample_fleet(&assignment, &mut rng);
-        let sys = FlSystem::new(devices, traces, FlConfig::default()).unwrap();
+        let sys = sim(devices, traces);
         let freqs: Vec<f64> = sys.devices().iter().map(|d| d.delta_max_ghz).collect();
         let s = run_async(&sys, &freqs, 100.0, 400.0).unwrap();
         assert!(!s.arrivals.is_empty());

@@ -15,7 +15,7 @@
 //!   any order and get bit-identical results.
 //! * [`FleetFaults`] / [`DeviceFault`] — the realized per-iteration
 //!   schedule (one column per fault channel) and its per-device view,
-//!   consumed by the round kernel behind `FleetSim` and `FlSystem`.
+//!   consumed by the round kernel behind both `FleetSim` folds.
 //! * [`DeviceStatus`] — what each device's round amounted to
 //!   (Completed / Straggled / Dropped / Failed).
 //!

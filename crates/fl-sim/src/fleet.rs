@@ -11,9 +11,12 @@
 //! * [`FleetSim::run_round`] folds kernel outputs shard by shard into a
 //!   [`FleetRound`] summary (tree-summed energy, max duration, tally)
 //!   without ever holding per-device outcomes;
-//! * [`FleetSim::run_round_report`] collects every device's outcome into
-//!   an [`IterationReport`] and fills in idle time once `T^k` is known.
-//!   [`FlSystem`](crate::FlSystem) is a thin view that delegates here.
+//! * [`FleetSim::run_iteration_faulty`] (and its benign form
+//!   [`FleetSim::run_iteration`]) collects every device's outcome into an
+//!   [`IterationReport`] and fills in idle time once `T^k` is known.
+//!
+//! Both are methods of the one simulator type; only the report fold
+//! bumps the `sim.*` telemetry counters.
 //!
 //! # Why shard count cannot change bits
 //!
@@ -234,7 +237,7 @@ pub struct BatteryRound {
 
 /// Summary of one fleet round: the aggregate quantities a controller or
 /// bench needs, without the `O(N)` per-device outcome vector a full
-/// [`IterationReport`] would carry (use [`FleetSim::run_round_report`]
+/// [`IterationReport`] would carry (use [`FleetSim::run_iteration_faulty`]
 /// when the breakdown is wanted).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetRound {
@@ -288,10 +291,18 @@ struct ShardPartial {
     energies: Option<Vec<f64>>,
 }
 
-/// A sharded fleet simulator: [`FleetState`] + trace pool + task config,
-/// evaluated `shards` ranges at a time on the `fl-pool` work-stealing
-/// pool. Shard count and worker count are scheduling knobs only — see the
-/// module docs for the bit-invariance argument.
+/// The federated-learning system of Section III: a fleet of devices in
+/// struct-of-arrays form ([`FleetState`]), their bandwidth traces, and the
+/// synchronized-iteration timing/energy model.
+///
+/// `FleetSim` is deliberately *policy-free*: callers (the DRL environment,
+/// the baselines, the figure harness) pick the frequency vector and this
+/// type evaluates one iteration of the physics, either as a sharded
+/// [`FleetRound`] summary ([`FleetSim::run_round`], evaluated `shards`
+/// ranges at a time on the `fl-pool` work-stealing pool) or as a
+/// per-device [`IterationReport`] ([`FleetSim::run_iteration`]). Shard
+/// count and worker count are scheduling knobs only — see the module docs
+/// for the bit-invariance argument.
 ///
 /// The device columns are immutable after [`FleetSim::new`] (only the
 /// battery charges change), which is what lets observation statics be
@@ -306,6 +317,20 @@ pub struct FleetSim {
     /// Built on the first observe, never in [`FleetSim::new`]: the static
     /// summaries sort two `N`-value columns.
     obs_statics: OnceLock<ObsStatics>,
+    obs: SimObs,
+}
+
+/// Observability handles for the report fold (all disabled no-ops by
+/// default). Clones share the underlying atomics, so a simulator cloned
+/// into many environments aggregates its fault tallies in one place.
+#[derive(Debug, Clone, Default)]
+struct SimObs {
+    iterations: fl_obs::Counter,
+    completed: fl_obs::Counter,
+    straggled: fl_obs::Counter,
+    dropped: fl_obs::Counter,
+    failed: fl_obs::Counter,
+    duration_s: fl_obs::Histogram,
 }
 
 /// Observation inputs that depend only on the immutable device columns.
@@ -347,12 +372,42 @@ impl FleetSim {
             shards: 1,
             workers: None,
             obs_statics: OnceLock::new(),
+            obs: SimObs::default(),
         })
+    }
+
+    /// Attaches an observability recorder: every [`FleetSim::run_iteration`]
+    /// / [`FleetSim::run_iteration_faulty`] bumps fleet outcome counters
+    /// (`sim.device.*`, mirroring the `OutcomeTally` statuses) and a
+    /// round-duration histogram; [`FleetSim::run_round`] records nothing.
+    /// Counters are atomic adds — commutative, so totals are invariant to
+    /// worker scheduling — and recording never alters the physics or
+    /// consumes RNG.
+    pub fn set_recorder(&mut self, recorder: &fl_obs::Recorder) {
+        self.obs = SimObs {
+            iterations: recorder.counter("sim.iterations"),
+            completed: recorder.counter("sim.device.completed"),
+            straggled: recorder.counter("sim.device.straggled"),
+            dropped: recorder.counter("sim.device.dropped"),
+            failed: recorder.counter("sim.device.failed"),
+            duration_s: recorder.histogram(
+                "sim.round_duration_s",
+                &[0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
+            ),
+        };
     }
 
     /// Device state.
     pub fn state(&self) -> &FleetState {
         &self.state
+    }
+
+    /// The fleet as per-device structs (materialized, `O(N)`; per-step
+    /// code reads `state()` columns instead).
+    pub fn devices(&self) -> Vec<MobileDevice> {
+        (0..self.state.len())
+            .map(|i| self.state.device(i))
+            .collect()
     }
 
     /// Enables battery bookkeeping: every device (re)starts at
@@ -373,20 +428,21 @@ impl FleetSim {
             .expect("trace indices validated at construction")
     }
 
+    /// The trace device `i` follows. Errors (instead of panicking) when
+    /// the device index is outside the fleet.
+    pub fn trace_of(&self, device: usize) -> Result<&BandwidthTrace> {
+        if device >= self.state.len() {
+            return Err(SimError::DeviceOutOfRange {
+                device,
+                n_devices: self.state.len(),
+            });
+        }
+        Ok(self.trace(device))
+    }
+
     /// Task configuration.
     pub fn config(&self) -> &FlConfig {
         &self.config
-    }
-
-    /// Replaces λ (behind [`FlSystem::set_lambda`](crate::FlSystem::set_lambda)).
-    pub(crate) fn set_lambda(&mut self, lambda: f64) -> Result<()> {
-        let config = FlConfig {
-            lambda,
-            ..self.config
-        };
-        config.validate()?;
-        self.config = config;
-        Ok(())
     }
 
     /// Number of devices `N`.
@@ -582,11 +638,34 @@ impl FleetSim {
         })
     }
 
-    /// Runs one synchronized round and returns the full per-device
+    /// Runs one synchronized iteration starting at `t_start` with the given
+    /// per-device CPU frequencies (GHz).
+    ///
+    /// For each device: compute for `τ c_i D_i / δ_i` seconds (Eq. 1), then
+    /// upload `ξ` MB through its trace starting the moment computation ends
+    /// — the upload duration is solved exactly against the time-varying
+    /// bandwidth, and Eq. (3)'s realized average bandwidth is reported.
+    /// `T^k` is the max over devices (Eq. 5); idle time is `T^k − T_i^k`.
+    pub fn run_iteration(&self, t_start: f64, freqs: &[f64]) -> Result<IterationReport> {
+        // The benign schedule multiplies by 1.0 and caps at +∞ — exact
+        // identities in IEEE arithmetic, so this delegation is bit-identical
+        // to a dedicated fault-free loop.
+        self.run_iteration_faulty(t_start, freqs, &FleetFaults::none(self.state.len()))
+    }
+
+    /// Fault-aware variant of [`FleetSim::run_iteration`]: evaluates the
+    /// same physics under a realized per-device fault schedule (dropout,
+    /// straggler, blackout, upload failure, timeout — see DESIGN.md "Fault
+    /// model & determinism contract") and returns the full per-device
     /// [`IterationReport`]: every device's kernel outcome in device order,
     /// then idle time `T^k − min(T_i^k, timeout)` once `T^k` is known.
-    /// Serial, `O(N)` outcomes; batteries are not drained.
-    pub fn run_round_report(
+    ///
+    /// `T^k` is the max of the capped waiting times over *non-dropped*
+    /// devices; when every device drops, the round is a no-op with
+    /// `duration = 0`. Serial, `O(N)` outcomes; batteries are not
+    /// drained. Bumps the recorder's `sim.*` counters (see
+    /// [`FleetSim::set_recorder`]).
+    pub fn run_iteration_faulty(
         &self,
         t_start: f64,
         freqs: &[f64],
@@ -611,9 +690,17 @@ impl FleetSim {
             outcomes.push(outcome);
             waited.push(w);
         }
+        self.obs.iterations.inc();
+        self.obs.duration_s.observe(t_max);
         for (o, &w) in outcomes.iter_mut().zip(&waited) {
             if o.status != DeviceStatus::Dropped {
                 o.idle_time = t_max - w;
+            }
+            match o.status {
+                DeviceStatus::Completed => self.obs.completed.inc(),
+                DeviceStatus::Straggled => self.obs.straggled.inc(),
+                DeviceStatus::Dropped => self.obs.dropped.inc(),
+                DeviceStatus::Failed => self.obs.failed.inc(),
             }
         }
         Ok(IterationReport {
@@ -959,7 +1046,6 @@ pub fn pooled_observation(
 mod tests {
     use super::*;
     use crate::fault::{FaultModel, FaultPlan};
-    use crate::FlSystem;
     use fl_net::{synth::Profile, BandwidthTrace};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -972,13 +1058,13 @@ mod tests {
         TraceSet::new(traces).unwrap()
     }
 
-    fn sampled_fleet(n: usize, seed: u64) -> (FleetSim, FlSystem) {
+    fn sampled_fleet(n: usize, seed: u64) -> FleetSim {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let traces = TraceSet::from_profile(Profile::Walking4G, 3, 600, 1.0, &mut rng).unwrap();
         let assignment = traces.assign(n, &mut rng);
         let devices = DeviceSampler::default().sample_fleet(&assignment, &mut rng);
-        let sys = FlSystem::new(devices, traces, FlConfig::default()).unwrap();
-        (sys.fleet().clone(), sys)
+        let state = FleetState::from_devices(&devices).unwrap();
+        FleetSim::new(state, traces, FlConfig::default()).unwrap()
     }
 
     #[test]
@@ -1005,13 +1091,14 @@ mod tests {
         assert!(FleetState::from_devices(&devices).is_err());
     }
 
-    /// At or below the tree arity the sharded summary and the `FlSystem`
-    /// report agree bit for bit, energy and cost included.
+    /// At or below the tree arity the sharded summary and the per-device
+    /// report agree bit for bit, energy and cost included. (The name keeps
+    /// the simulator's former type name so the test's id stays stable.)
     #[test]
     fn round_matches_flsystem_bitwise_small_n() {
-        let (mut fleet, sys) = sampled_fleet(8, 42);
+        let mut fleet = sampled_fleet(8, 42);
         let freqs = fleet.max_freqs();
-        let report = sys.run_iteration(0.0, &freqs).unwrap();
+        let report = fleet.run_iteration(0.0, &freqs).unwrap();
         for shards in [1, 2, 8, 64] {
             fleet.set_shards(shards);
             let round = fleet.run_round_benign(0.0, &freqs).unwrap();
@@ -1027,12 +1114,12 @@ mod tests {
 
     #[test]
     fn faulty_round_matches_flsystem_bitwise() {
-        let (mut fleet, sys) = sampled_fleet(8, 7);
+        let mut fleet = sampled_fleet(8, 7);
         let freqs = fleet.max_freqs();
         let plan = FaultPlan::new(FaultModel::chaos(0.2, 0.3, Some(60.0)), 8, 99).unwrap();
         for k in 0..5 {
             let faults = plan.faults_at(k);
-            let report = sys.run_iteration_faulty(100.0, &freqs, &faults).unwrap();
+            let report = fleet.run_iteration_faulty(100.0, &freqs, &faults).unwrap();
             for shards in [1, 3, 64] {
                 fleet.set_shards(shards);
                 let round = fleet.run_round(100.0, &freqs, &faults).unwrap();
@@ -1043,8 +1130,6 @@ mod tests {
                 );
                 assert_eq!(round.tally, report.outcome_tally());
             }
-            let full = fleet.run_round_report(100.0, &freqs, &faults).unwrap();
-            assert_eq!(full, report);
         }
     }
 
@@ -1055,12 +1140,12 @@ mod tests {
     /// energies, at every shard count.
     #[test]
     fn summary_and_report_folds_agree_large_n() {
-        let (mut fleet, _) = sampled_fleet(517, 13);
+        let mut fleet = sampled_fleet(517, 13);
         let freqs = fleet.max_freqs();
         let plan = FaultPlan::new(FaultModel::chaos(0.2, 0.3, Some(60.0)), 517, 4).unwrap();
         for k in 0..3 {
             let faults = plan.faults_at(k);
-            let report = fleet.run_round_report(50.0, &freqs, &faults).unwrap();
+            let report = fleet.run_iteration_faulty(50.0, &freqs, &faults).unwrap();
             let energies: Vec<f64> = report.devices.iter().map(|d| d.total_energy()).collect();
             let tree_energy = fl_pool::tree::tree_sum_arity(&energies, TREE_ARITY);
             let tally = report.outcome_tally();
@@ -1075,9 +1160,53 @@ mod tests {
         }
     }
 
+    /// The `sim.*` counters are bumped by the report fold only: two clones
+    /// sharing one recorder add up to the summed tallies of their reports,
+    /// and a sharded `run_round` records nothing.
+    #[test]
+    fn report_fold_counters_sum_outcome_tallies_across_clones() {
+        const K: u64 = 6;
+        let rec = fl_obs::Recorder::in_memory();
+        let mut a = sampled_fleet(24, 5);
+        a.set_recorder(&rec);
+        let b = a.clone();
+        let freqs = a.max_freqs();
+        let plan = FaultPlan::new(FaultModel::chaos(0.2, 0.3, Some(60.0)), 24, 11).unwrap();
+        let mut tally = OutcomeTally::default();
+        for k in 0..K {
+            for sim in [&a, &b] {
+                let report = sim
+                    .run_iteration_faulty(30.0 * k as f64, &freqs, &plan.faults_at(k))
+                    .unwrap();
+                tally.merge(&report.outcome_tally());
+            }
+        }
+        assert!(tally.dropped > 0 && tally.straggled > 0 && tally.failed > 0);
+        let counters = |rec: &fl_obs::Recorder| {
+            [
+                "sim.iterations",
+                "sim.device.completed",
+                "sim.device.straggled",
+                "sim.device.dropped",
+                "sim.device.failed",
+            ]
+            .map(|name| rec.counter_value(name) as usize)
+        };
+        let want = [
+            2 * K as usize,
+            tally.completed,
+            tally.straggled,
+            tally.dropped,
+            tally.failed,
+        ];
+        assert_eq!(counters(&rec), want);
+        a.run_round(0.0, &freqs, &plan.faults_at(0)).unwrap();
+        assert_eq!(counters(&rec), want);
+    }
+
     #[test]
     fn shard_count_never_changes_bits_large_n() {
-        let (mut fleet, _) = sampled_fleet(517, 13);
+        let mut fleet = sampled_fleet(517, 13);
         let freqs = fleet.max_freqs();
         let plan = FaultPlan::new(FaultModel::chaos(0.2, 0.3, Some(60.0)), 517, 4).unwrap();
         let faults = FleetFaults::realize(&plan, 2);
@@ -1096,11 +1225,11 @@ mod tests {
 
     #[test]
     fn error_reporting_matches_serial_first_error() {
-        let (mut fleet, sys) = sampled_fleet(20, 17);
+        let mut fleet = sampled_fleet(20, 17);
         let mut freqs = fleet.max_freqs();
         freqs[5] = -1.0;
         freqs[13] = f64::NAN;
-        let serial = sys.run_iteration(0.0, &freqs).unwrap_err();
+        let serial = fleet.run_iteration(0.0, &freqs).unwrap_err();
         for shards in [1, 4, 64] {
             fleet.set_shards(shards);
             let err = fleet.run_round_benign(0.0, &freqs).unwrap_err();
@@ -1116,7 +1245,7 @@ mod tests {
 
     #[test]
     fn battery_bookkeeping_is_shard_invariant_and_physics_free() {
-        let (mut fleet, _) = sampled_fleet(40, 23);
+        let mut fleet = sampled_fleet(40, 23);
         let freqs = fleet.max_freqs();
         let no_batt = fleet.run_round_benign(0.0, &freqs).unwrap();
         fleet.set_batteries(100.0).unwrap();
@@ -1145,21 +1274,19 @@ mod tests {
 
     #[test]
     fn pooled_observation_is_permutation_invariant_and_fixed_size() {
-        let (fleet, sys) = sampled_fleet(16, 31);
+        let fleet = sampled_fleet(16, 31);
         let obs = fleet.observe_pooled(120.0, 10.0, 8, Some(0.75)).unwrap();
         assert_eq!(obs.len(), pooled_obs_dim(8, true));
 
         // Reverse the device order: every pooled entry must be unchanged.
-        let mut devices = sys.devices();
+        let mut devices = fleet.devices();
         devices.reverse();
         for (i, d) in devices.iter_mut().enumerate() {
             d.id = i;
         }
-        let rev = FlSystem::new(devices, sys.traces().clone(), *sys.config()).unwrap();
-        let rev_obs = rev
-            .fleet()
-            .observe_pooled(120.0, 10.0, 8, Some(0.75))
-            .unwrap();
+        let state = FleetState::from_devices(&devices).unwrap();
+        let rev = FleetSim::new(state, fleet.traces().clone(), *fleet.config()).unwrap();
+        let rev_obs = rev.observe_pooled(120.0, 10.0, 8, Some(0.75)).unwrap();
         assert_eq!(obs, rev_obs);
     }
 
@@ -1241,12 +1368,14 @@ mod tests {
     #[test]
     fn pooled_dim_is_independent_of_n() {
         for n in [1, 2, 16, 33] {
-            let (fleet, _) = sampled_fleet(n, 100 + n as u64);
+            let fleet = sampled_fleet(n, 100 + n as u64);
             let obs = fleet.observe_pooled(60.0, 10.0, 4, None).unwrap();
             assert_eq!(obs.len(), pooled_obs_dim(4, false));
         }
     }
 
+    /// Construction and round inputs are validated (the name keeps the
+    /// simulator's former type name so the test's id stays stable).
     #[test]
     fn validation_mirrors_flsystem() {
         let traces = flat_traces(&[2.0]);
@@ -1258,7 +1387,7 @@ mod tests {
         state.trace_idx[1] = 9;
         assert!(FleetSim::new(state, traces, FlConfig::default()).is_err());
 
-        let (mut fleet, _) = sampled_fleet(4, 2);
+        let mut fleet = sampled_fleet(4, 2);
         let freqs = fleet.max_freqs();
         assert!(fleet.run_round_benign(-1.0, &freqs).is_err());
         assert!(fleet.run_round_benign(0.0, &freqs[..3]).is_err());
@@ -1274,7 +1403,7 @@ mod tests {
     /// index panic.
     #[test]
     fn ragged_columns_are_errors_not_panics() {
-        let (fleet, _) = sampled_fleet(4, 2);
+        let fleet = sampled_fleet(4, 2);
         let rebuild = |edit: fn(&mut FleetState)| {
             let mut state = fleet.state().clone();
             edit(&mut state);
@@ -1299,12 +1428,12 @@ mod tests {
             Err(SimError::InvalidArgument(_))
         ));
         assert!(matches!(
-            fleet.run_round_report(0.0, &freqs, &faults),
+            fleet.run_iteration_faulty(0.0, &freqs, &faults),
             Err(SimError::InvalidArgument(_))
         ));
         let mut faults = FleetFaults::none(4);
         faults.blackout_dur_s.push(0.0);
         assert!(fleet.run_round(0.0, &freqs, &faults).is_err());
-        assert!(fleet.run_round_report(0.0, &freqs, &faults).is_err());
+        assert!(fleet.run_iteration_faulty(0.0, &freqs, &faults).is_err());
     }
 }

@@ -15,10 +15,8 @@
 //!   accounting, and the energy model `E_i = α_i τ c_i D_i δ_i² + e_i t_com`.
 //!   One per-device kernel evaluates the physics; it is folded either into
 //!   a sharded [`FleetRound`] summary (any `N`, up to 10⁶) or into a
-//!   per-device [`IterationReport`],
-//! * [`FlSystem`] — the per-device view used by training and the figure
-//!   harness: a thin wrapper over a [`FleetSim`] whose iterations are
-//!   per-device reports,
+//!   per-device [`IterationReport`] ([`FleetSim::run_iteration`], the view
+//!   training and the figure harness use),
 //! * [`FaultPlan`] / [`FleetFaults`] — seeded, random-access fault
 //!   schedules (dropout, stragglers, blackouts, lost uploads, timeouts),
 //! * [`IterationReport`] / [`SessionLedger`] — per-iteration and cumulative
@@ -36,17 +34,16 @@
 //! ## Example
 //!
 //! ```
-//! use fl_sim::{DeviceSampler, FlConfig, FlSystem};
+//! use fl_sim::{DeviceSampler, FlConfig, FleetSim, FleetState};
 //! use fl_net::{synth::Profile, TraceSet};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
 //! let traces = TraceSet::from_profile(Profile::Walking4G, 2, 600, 1.0, &mut rng)?;
 //! let devices = DeviceSampler::default().sample_fleet(&traces.assign(3, &mut rng), &mut rng);
-//! let sys = FlSystem::new(devices, traces, FlConfig::default())?;
+//! let sim = FleetSim::new(FleetState::from_devices(&devices)?, traces, FlConfig::default())?;
 //! // One synchronized iteration with every device at its frequency cap:
-//! let freqs: Vec<f64> = sys.devices().iter().map(|d| d.delta_max_ghz).collect();
-//! let report = sys.run_iteration(0.0, &freqs)?;
+//! let report = sim.run_iteration(0.0, &sim.max_freqs())?;
 //! assert!(report.duration > 0.0);                 // T^k  (Eq. 5)
 //! assert!(report.total_energy() > 0.0);           // sum E_i (Eq. 6)
 //! assert!(report.cost(0.5) > report.duration);    // T^k + lambda*sum E (Eq. 9 term)
@@ -78,7 +75,11 @@ pub use fleet::{
     FleetState,
 };
 pub use report::{DeviceOutcome, IterationReport, OutcomeTally, SessionLedger};
-pub use system::{FlConfig, FlSystem};
+pub use system::FlConfig;
+
+/// The simulator's former name, kept only so downstream code written
+/// against it (the separately built `bench/` package) still compiles.
+pub type FlSystem = FleetSim;
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, SimError>;

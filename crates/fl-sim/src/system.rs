@@ -1,10 +1,7 @@
-//! The synchronized-iteration engine.
+//! Task-level configuration of the system model. The tests below check the
+//! synchronized-iteration physics of [`FleetSim`](crate::FleetSim) by hand.
 
-use crate::fault::{DeviceStatus, FleetFaults};
-use crate::fleet::{FleetSim, FleetState};
-use crate::report::IterationReport;
-use crate::{MobileDevice, Result, SimError};
-use fl_net::TraceSet;
+use crate::{Result, SimError};
 use serde::{Deserialize, Serialize};
 
 /// Task-level configuration shared by all devices.
@@ -50,186 +47,12 @@ impl FlConfig {
     }
 }
 
-/// The federated-learning system of Section III: a fleet of devices, their
-/// bandwidth traces, and the synchronized-iteration timing/energy model.
-///
-/// `FlSystem` is deliberately *policy-free*: callers (the DRL environment,
-/// the baselines, the figure harness) pick the frequency vector and this
-/// type evaluates one iteration of the physics. It is a thin view over a
-/// [`FleetSim`] — every iteration is [`FleetSim::run_round_report`] — plus
-/// the per-iteration telemetry counters.
-#[derive(Debug, Clone)]
-pub struct FlSystem {
-    fleet: FleetSim,
-    obs: SimObs,
-}
-
-/// Observability handles for the iteration engine (all disabled no-ops by
-/// default). Clones share the underlying atomics, so a system cloned into
-/// many environments aggregates its fault tallies in one place.
-#[derive(Debug, Clone, Default)]
-struct SimObs {
-    iterations: fl_obs::Counter,
-    completed: fl_obs::Counter,
-    straggled: fl_obs::Counter,
-    dropped: fl_obs::Counter,
-    failed: fl_obs::Counter,
-    duration_s: fl_obs::Histogram,
-}
-
-impl FlSystem {
-    /// Builds a system, validating devices, trace indices, and config (see
-    /// [`FleetSim::new`]). Device `id`s must equal their index.
-    pub fn new(devices: Vec<MobileDevice>, traces: TraceSet, config: FlConfig) -> Result<Self> {
-        let fleet = FleetSim::new(FleetState::from_devices(&devices)?, traces, config)?;
-        Ok(FlSystem {
-            fleet,
-            obs: SimObs::default(),
-        })
-    }
-
-    /// Attaches an observability recorder: every iteration bumps fleet
-    /// outcome counters (`sim.device.*`, mirroring the `OutcomeTally`
-    /// statuses) and a round-duration histogram. Counters are atomic adds
-    /// — commutative, so totals are invariant to worker scheduling — and
-    /// recording never alters the physics or consumes RNG.
-    pub fn set_recorder(&mut self, recorder: &fl_obs::Recorder) {
-        self.obs = SimObs {
-            iterations: recorder.counter("sim.iterations"),
-            completed: recorder.counter("sim.device.completed"),
-            straggled: recorder.counter("sim.device.straggled"),
-            dropped: recorder.counter("sim.device.dropped"),
-            failed: recorder.counter("sim.device.failed"),
-            duration_s: recorder.histogram(
-                "sim.round_duration_s",
-                &[0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
-            ),
-        };
-    }
-
-    /// The underlying struct-of-arrays fleet.
-    pub fn fleet(&self) -> &FleetSim {
-        &self.fleet
-    }
-
-    /// The fleet as per-device structs (materialized, `O(N)`; per-step
-    /// code reads `fleet().state()` columns instead).
-    pub fn devices(&self) -> Vec<MobileDevice> {
-        let state = self.fleet.state();
-        (0..state.len()).map(|i| state.device(i)).collect()
-    }
-
-    /// Number of devices `N`.
-    pub fn num_devices(&self) -> usize {
-        self.fleet.num_devices()
-    }
-
-    /// The trace pool.
-    pub fn traces(&self) -> &TraceSet {
-        self.fleet.traces()
-    }
-
-    /// The trace device `i` follows. Errors (instead of panicking) when
-    /// the device index is outside the fleet.
-    pub fn trace_of(&self, device: usize) -> Result<&fl_net::BandwidthTrace> {
-        let &idx = self
-            .fleet
-            .state()
-            .trace_idx
-            .get(device)
-            .ok_or(SimError::DeviceOutOfRange {
-                device,
-                n_devices: self.num_devices(),
-            })?;
-        Ok(self
-            .traces()
-            .get(idx as usize)
-            .expect("trace indices validated at construction"))
-    }
-
-    /// Task configuration.
-    pub fn config(&self) -> &FlConfig {
-        self.fleet.config()
-    }
-
-    /// Replaces λ (used by the λ-sweep ablation without rebuilding traces).
-    pub fn set_lambda(&mut self, lambda: f64) -> Result<()> {
-        self.fleet.set_lambda(lambda)
-    }
-
-    /// Clamps a raw action vector into the feasible region `(0, δ_i^max]`,
-    /// with `min_frac · δ_max` as the floor so compute time stays finite.
-    pub fn clamp_freqs(&self, raw: &[f64], min_frac: f64) -> Vec<f64> {
-        self.fleet
-            .state()
-            .delta_max_ghz
-            .iter()
-            .zip(raw)
-            .map(|(&cap, &f)| f.clamp(min_frac * cap, cap))
-            .collect()
-    }
-
-    /// Runs one synchronized iteration starting at `t_start` with the given
-    /// per-device CPU frequencies (GHz).
-    ///
-    /// For each device: compute for `τ c_i D_i / δ_i` seconds (Eq. 1), then
-    /// upload `ξ` MB through its trace starting the moment computation ends
-    /// — the upload duration is solved exactly against the time-varying
-    /// bandwidth, and Eq. (3)'s realized average bandwidth is reported.
-    /// `T^k` is the max over devices (Eq. 5); idle time is `T^k − T_i^k`.
-    pub fn run_iteration(&self, t_start: f64, freqs: &[f64]) -> Result<IterationReport> {
-        // The benign schedule multiplies by 1.0 and caps at +∞ — exact
-        // identities in IEEE arithmetic, so this delegation is bit-identical
-        // to a dedicated fault-free loop.
-        self.run_iteration_faulty(t_start, freqs, &FleetFaults::none(self.num_devices()))
-    }
-
-    /// Fault-aware variant of [`FlSystem::run_iteration`]: evaluates the
-    /// same physics under a realized per-device fault schedule (dropout,
-    /// straggler, blackout, upload failure, timeout — see DESIGN.md "Fault
-    /// model & determinism contract").
-    ///
-    /// `T^k` is the max of the capped waiting times over *non-dropped*
-    /// devices; when every device drops, the round is a no-op with
-    /// `duration = 0`.
-    pub fn run_iteration_faulty(
-        &self,
-        t_start: f64,
-        freqs: &[f64],
-        faults: &FleetFaults,
-    ) -> Result<IterationReport> {
-        let report = self.fleet.run_round_report(t_start, freqs, faults)?;
-        self.obs.iterations.inc();
-        self.obs.duration_s.observe(report.duration);
-        for o in &report.devices {
-            match o.status {
-                DeviceStatus::Completed => self.obs.completed.inc(),
-                DeviceStatus::Straggled => self.obs.straggled.inc(),
-                DeviceStatus::Dropped => self.obs.dropped.inc(),
-                DeviceStatus::Failed => self.obs.failed.inc(),
-            }
-        }
-        Ok(report)
-    }
-
-    /// Builds the DRL state for iteration start time `t` (see
-    /// [`FleetSim::observe_bandwidth_state`]).
-    pub fn observe_bandwidth_state(
-        &self,
-        t: f64,
-        slot_h: f64,
-        history_len: usize,
-    ) -> Result<Vec<f64>> {
-        self.fleet.observe_bandwidth_state(t, slot_h, history_len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultModel, FaultPlan};
-    use crate::DeviceSampler;
-    use fl_net::BandwidthTrace;
+    use crate::fault::{DeviceStatus, FaultModel, FaultPlan, FleetFaults};
+    use crate::{DeviceSampler, FleetSim, FleetState, MobileDevice};
+    use fl_net::{BandwidthTrace, TraceSet};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -255,31 +78,35 @@ mod tests {
         }
     }
 
-    fn system() -> FlSystem {
+    fn sim(devices: Vec<MobileDevice>, traces: TraceSet, config: FlConfig) -> Result<FleetSim> {
+        FleetSim::new(FleetState::from_devices(&devices)?, traces, config)
+    }
+
+    fn system() -> FleetSim {
         let devices = vec![simple_device(0, 0, 2.0), simple_device(1, 1, 2.0)];
         let traces = flat_traces(&[2.0, 5.0]);
-        FlSystem::new(devices, traces, FlConfig::default()).unwrap()
+        sim(devices, traces, FlConfig::default()).unwrap()
     }
 
     #[test]
     fn construction_validation() {
         let traces = flat_traces(&[1.0]);
-        assert!(FlSystem::new(vec![], traces.clone(), FlConfig::default()).is_err());
+        assert!(sim(vec![], traces.clone(), FlConfig::default()).is_err());
         // Bad trace index.
         let d = simple_device(0, 5, 2.0);
-        assert!(FlSystem::new(vec![d], traces.clone(), FlConfig::default()).is_err());
+        assert!(sim(vec![d], traces.clone(), FlConfig::default()).is_err());
         // Bad config.
         let d = simple_device(0, 0, 2.0);
         let bad = FlConfig {
             tau: 0,
             ..FlConfig::default()
         };
-        assert!(FlSystem::new(vec![d.clone()], traces.clone(), bad).is_err());
+        assert!(sim(vec![d.clone()], traces.clone(), bad).is_err());
         let bad_lambda = FlConfig {
             lambda: -1.0,
             ..FlConfig::default()
         };
-        assert!(FlSystem::new(vec![d], traces, bad_lambda).is_err());
+        assert!(sim(vec![d], traces, bad_lambda).is_err());
     }
 
     #[test]
@@ -332,15 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn clamp_freqs_respects_caps() {
-        let sys = system();
-        let clamped = sys.clamp_freqs(&[99.0, -1.0], 0.05);
-        assert_eq!(clamped[0], 2.0);
-        assert_eq!(clamped[1], 0.1);
-        assert!(sys.run_iteration(0.0, &clamped).is_ok());
-    }
-
-    #[test]
     fn upload_rides_time_varying_bandwidth() {
         // Trace: 1 MB/s for 10 s then 10 MB/s. Upload starting at t=5 with
         // 10 MB: 5 MB in [5,10), then 5 MB at 10 MB/s = 0.5 s → 5.5 s total.
@@ -350,7 +168,7 @@ mod tests {
             TraceSet::new(vec![BandwidthTrace::new(1.0, slots).unwrap().cyclic()]).unwrap();
         // 10 Gcycles at 2 GHz = 5 s compute.
         let d = simple_device(0, 0, 2.0);
-        let sys = FlSystem::new(vec![d], traces, FlConfig::default()).unwrap();
+        let sys = sim(vec![d], traces, FlConfig::default()).unwrap();
         let r = sys.run_iteration(0.0, &[2.0]).unwrap();
         assert!((r.devices[0].comm_time - 5.5).abs() < 1e-9);
         // Eq. (3): realized avg bandwidth = 10 MB / 5.5 s.
@@ -365,14 +183,6 @@ mod tests {
         assert_eq!(s.len(), 6);
         assert!(s[..3].iter().all(|&v| (v - 2.0).abs() < 1e-9));
         assert!(s[3..].iter().all(|&v| (v - 5.0).abs() < 1e-9));
-    }
-
-    #[test]
-    fn set_lambda_validates() {
-        let mut sys = system();
-        assert!(sys.set_lambda(0.5).is_ok());
-        assert_eq!(sys.config().lambda, 0.5);
-        assert!(sys.set_lambda(-0.5).is_err());
     }
 
     #[test]
@@ -523,7 +333,7 @@ mod tests {
                 .unwrap();
         let assignment = traces.assign(5, &mut rng);
         let devices = DeviceSampler::default().sample_fleet(&assignment, &mut rng);
-        let sys = FlSystem::new(devices, traces, FlConfig::default()).unwrap();
+        let sys = sim(devices, traces, FlConfig::default()).unwrap();
         let freqs: Vec<f64> = sys.devices().iter().map(|d| d.delta_max_ghz).collect();
         let mut t = 0.0;
         for _ in 0..20 {

@@ -28,7 +28,7 @@ use fl_ctrl::FlFreqEnv;
 use fl_rl::runner::{RunnerState, SlotState, VecEnvRunner, VecRolloutSummary};
 use fl_rl::snapshot::RngState;
 use fl_rl::{Environment, PpoAgent, RolloutBuffer, SnapshotEnv, Transition, UpdateStats};
-use fl_sim::FlSystem;
+use fl_sim::FleetSim;
 use harness::{chaos, quick_config, system, KernelGuard, KernelKind, SEED};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -36,7 +36,7 @@ use rand_chacha::ChaCha8Rng;
 const N_ENVS: usize = 4;
 const REWARD_SCALE: f64 = 0.05;
 
-fn fl_envs(sys: &FlSystem, faults: bool) -> Vec<FlFreqEnv> {
+fn fl_envs(sys: &FleetSim, faults: bool) -> Vec<FlFreqEnv> {
     let cfg = quick_config(0, faults.then(chaos)).env;
     (0..N_ENVS)
         .map(|_| FlFreqEnv::new(sys.clone(), cfg).unwrap())
@@ -268,7 +268,7 @@ type RunFingerprint = (Vec<Round>, String);
 
 /// Trains `rounds` rounds of `steps_per_env` steps under `schedule`.
 fn train(
-    sys: &FlSystem,
+    sys: &FleetSim,
     faults: bool,
     schedule: Schedule,
     rounds: usize,

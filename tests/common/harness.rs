@@ -20,7 +20,7 @@ use fl_ctrl::{
 use fl_net::synth::Profile;
 pub use fl_nn::KernelKind;
 use fl_rl::PpoConfig;
-use fl_sim::{FaultModel, FlConfig, FlSystem};
+use fl_sim::{FaultModel, FlConfig, FleetSim};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::path::PathBuf;
@@ -32,7 +32,7 @@ pub const SEED: u64 = 42;
 
 /// A Walking-4G system of `n_devices` devices sampling up to three
 /// distinct 1200-slot traces.
-pub fn system(n_devices: usize, seed: u64) -> FlSystem {
+pub fn system(n_devices: usize, seed: u64) -> FleetSim {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     build_system(
         n_devices,
@@ -210,7 +210,7 @@ impl Trained {
 /// Trains `config` on `sys` from [`SEED`] under `knobs`, with `opts`
 /// (supervision, poisoning, recording) applied to every segment.
 pub fn train_under(
-    sys: &FlSystem,
+    sys: &FleetSim,
     config: &TrainConfig,
     opts: &RunOptions,
     knobs: Knobs,
@@ -248,7 +248,7 @@ pub fn train_under(
 /// Trains under every row of `rows` and asserts each row's fingerprint
 /// equals the first row's. Returns the first row's run.
 pub fn assert_rows_agree(
-    sys: &FlSystem,
+    sys: &FleetSim,
     config: &TrainConfig,
     opts: &RunOptions,
     rows: &[Knobs],

@@ -15,7 +15,7 @@ use fl_sim::FlConfig;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn small_system(seed: u64, n: usize) -> fl_sim::FlSystem {
+fn small_system(seed: u64, n: usize) -> fl_sim::FleetSim {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     build_system(
         n,
@@ -173,7 +173,7 @@ fn full_pipeline_is_deterministic() {
 fn oracle_agrees_with_solver_on_flat_traces() {
     use fl_ctrl::{model_cost, optimize_frequencies, SolverParams};
     use fl_net::{BandwidthTrace, TraceSet};
-    use fl_sim::{DeviceSampler, FlSystem};
+    use fl_sim::{DeviceSampler, FleetSim, FleetState};
 
     let mut rng = ChaCha8Rng::seed_from_u64(31);
     let bws = [1.2, 3.0, 0.7];
@@ -188,7 +188,8 @@ fn oracle_agrees_with_solver_on_flat_traces() {
     )
     .expect("trace set");
     let devices = DeviceSampler::default().sample_fleet(&[0, 1, 2], &mut rng);
-    let sys = FlSystem::new(devices, traces, FlConfig::default()).expect("system");
+    let state = FleetState::from_devices(&devices).expect("device ids");
+    let sys = FleetSim::new(state, traces, FlConfig::default()).expect("system");
 
     let params = SolverParams {
         tau: sys.config().tau,

@@ -5,8 +5,8 @@
 //! frequencies, or training results. Plus the scale-invariance story: one
 //! quantile-pooled broadcast policy trained at small `N` decides for any
 //! fleet size, and the fleet decision path (`decide_fleet`, fed a
-//! `FleetRound`) decides exactly as the `FlSystem` path (`decide`, fed an
-//! `IterationReport`) on the same devices.
+//! `FleetRound`) decides exactly as the per-device report path (`decide`,
+//! fed an `IterationReport`) on the same devices.
 
 #[path = "common/harness.rs"]
 mod harness;
@@ -17,7 +17,7 @@ use fl_ctrl::{
 };
 use fl_rl::{GaussianPolicy, RunningNorm};
 use fl_sim::{
-    pooled_obs_dim, pooled_observation, FaultModel, FaultPlan, FlSystem, FleetFaults, FleetRound,
+    pooled_obs_dim, pooled_observation, FaultModel, FaultPlan, FleetFaults, FleetRound, FleetSim,
     IterationReport,
 };
 use harness::{assert_rows_agree, chaos, quick_config, system, Knobs, BASE};
@@ -37,13 +37,13 @@ fn pooled_config(episodes: usize) -> TrainConfig {
 /// and returns every [`FleetRound`] (start time, duration, energy, tally —
 /// the full cost series).
 fn run_rounds(
-    sys: &FlSystem,
+    sys: &FleetSim,
     shards: usize,
     workers: usize,
     plan: Option<&FaultPlan>,
     rounds: u64,
 ) -> Vec<FleetRound> {
-    let mut fleet = sys.fleet().clone();
+    let mut fleet = sys.clone();
     fleet.set_shards(shards);
     fleet.set_workers(Some(workers));
     let freqs = fleet.max_freqs();
@@ -156,8 +156,8 @@ fn pooled_observation_is_permutation_invariant_and_n_independent() {
 
 /// Scale invariance: a pooled broadcast controller trained at N=8 rebinds
 /// to a 200-device fleet (`with_fleet_sim`, straight from the
-/// struct-of-arrays statics). Driven through `FlSystem` (`decide`, fed an
-/// `IterationReport`) and through the fleet (`decide_fleet`, fed a
+/// struct-of-arrays statics). Driven through the report path (`decide`, fed
+/// an `IterationReport`) and through the round path (`decide_fleet`, fed a
 /// `FleetRound`) it decides identically, before and after a faulty round,
 /// so the report's survivor count and the round's survival fraction feed
 /// the policy the same tail. The 8-device binding refuses the big fleet.
@@ -170,9 +170,9 @@ fn fleet_decision_path_matches_system_overlap_and_rebinds() {
         .controller;
 
     let big_sys = system(200, 33);
-    let mut big_fleet = big_sys.fleet().clone();
+    let mut big_fleet = big_sys.clone();
     big_fleet.set_shards(3);
-    let mut via_sys = ctrl.with_fleet_sim(big_sys.fleet()).unwrap();
+    let mut via_sys = ctrl.with_fleet_sim(&big_sys).unwrap();
     let via_fleet = ctrl.with_fleet_sim(&big_fleet).unwrap();
     let plan = FaultPlan::new(FaultModel::chaos(0.2, 0.2, Some(120.0)), 200, 9).unwrap();
     let mut t = 60.0;
@@ -212,18 +212,18 @@ fn served_and_fleet_decisions_agree_across_inference_chunks() {
     let mut rng = ChaCha8Rng::seed_from_u64(6);
     let h = 3;
     let obs_dim = pooled_obs_dim(h, false);
-    let statics = fleet_statics(sys.fleet().state(), sys.fleet().config().tau);
+    let statics = fleet_statics(sys.state(), sys.config().tau);
     let policy = GaussianPolicy::new_broadcast(obs_dim, statics, &[16], -0.5, &mut rng).unwrap();
     let mut norm = RunningNorm::new(obs_dim, 10.0);
     for k in 0..12 {
-        let obs = sys.fleet().observe_pooled(40.0 * k as f64, 10.0, h, None);
+        let obs = sys.observe_pooled(40.0 * k as f64, 10.0, h, None);
         norm.update(&obs.unwrap()).unwrap();
     }
     let mut ctrl = DrlController::new(policy, norm, 10.0, h, 0.1).unwrap();
     ctrl.obs_mode = ObsMode::Pooled;
 
     let n = 20_000;
-    let big = system(n, 7).fleet().clone();
+    let big = system(n, 7);
     let bound = ctrl.with_fleet_sim(&big).unwrap();
     let snap = ControllerSnapshot::new(bound.clone(), big.max_freqs()).unwrap();
     let times = [60.0, 245.5];

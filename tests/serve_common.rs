@@ -15,7 +15,7 @@ pub use harness::temp_dir;
 use fl_ctrl::{build_system, ControllerSnapshot, DrlController};
 use fl_net::synth::Profile;
 use fl_rl::{GaussianPolicy, RunningNorm};
-use fl_sim::{FlConfig, FlSystem};
+use fl_sim::{FlConfig, FleetSim};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -28,7 +28,7 @@ pub const HIST: usize = 4;
 /// Builds a 3-device testbed system and a deployable snapshot over it:
 /// random policy weights (decision *bits* are what the suites compare, not
 /// decision quality) and Welford statistics warmed on real observations.
-pub fn make_snapshot(seed: u64) -> (FlSystem, ControllerSnapshot) {
+pub fn make_snapshot(seed: u64) -> (FleetSim, ControllerSnapshot) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let sys = build_system(
         3,
@@ -78,7 +78,7 @@ pub fn obs_times(n: usize) -> Vec<f64> {
 }
 
 /// Observation rows at the given trace times.
-pub fn obs_rows(sys: &FlSystem, times: &[f64]) -> Vec<Vec<f64>> {
+pub fn obs_rows(sys: &FleetSim, times: &[f64]) -> Vec<Vec<f64>> {
     times
         .iter()
         .map(|&t| sys.observe_bandwidth_state(t, SLOT_H, HIST).unwrap())

@@ -26,7 +26,7 @@ use std::time::Duration;
 /// In-process reference decisions at the given trace times, under the
 /// currently selected kernel.
 fn reference_freqs(
-    sys: &fl_sim::FlSystem,
+    sys: &fl_sim::FleetSim,
     snap: &fl_ctrl::ControllerSnapshot,
     times: &[f64],
 ) -> Vec<Vec<f64>> {
