@@ -44,7 +44,7 @@ fn main() {
 
     // Deployment produces one transition per iteration, so use a small
     // online buffer to keep a meaningful update cadence.
-    let mut online = OnlineDrlController::with_buffer_capacity(
+    let mut online = OnlineDrlController::new(
         out.agent.clone(),
         config.env,
         config.reward_scale,

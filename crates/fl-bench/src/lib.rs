@@ -257,11 +257,7 @@ impl Scenario {
         sys: &FleetSim,
         config: &TrainConfig,
         par: &ParallelConfig,
-    ) -> (
-        DrlController,
-        bool,
-        Option<Vec<Vec<fl_rl::pool::WorkerStats>>>,
-    ) {
+    ) -> (DrlController, bool, Option<Vec<Vec<fl_pool::WorkerStats>>>) {
         let path = std::env::temp_dir().join(format!(
             "fedfreq-{}-{}ep-seed{}-vec{}-cfg{:08x}.json",
             self.name,
@@ -311,10 +307,10 @@ pub fn workers_from_env() -> usize {
 /// and, when the recorder is enabled, emits a structured `warning` event
 /// before falling back to the machine's available parallelism.
 pub fn workers_from_env_obs(rec: &fl_obs::Recorder) -> usize {
-    match fl_rl::pool::env_workers_setting() {
-        Ok(workers) => workers.unwrap_or_else(fl_rl::pool::default_workers),
+    match fl_pool::env_workers_setting() {
+        Ok(workers) => workers.unwrap_or_else(fl_pool::default_workers),
         Err(raw) => {
-            let fallback = fl_rl::pool::default_workers();
+            let fallback = fl_pool::default_workers();
             if rec.is_enabled() {
                 rec.emit(
                     fl_obs::Event::phys("warning")
@@ -354,7 +350,7 @@ pub fn obs_recorder(dir: Option<&std::path::Path>, file: &str) -> fl_obs::Record
 
 /// Prints per-worker totals (tasks, steals, busy seconds) aggregated over
 /// the collection rounds of a parallel training run.
-pub fn print_round_worker_stats(label: &str, rounds: &[Vec<fl_rl::pool::WorkerStats>]) {
+pub fn print_round_worker_stats(label: &str, rounds: &[Vec<fl_pool::WorkerStats>]) {
     let workers = rounds.iter().map(|r| r.len()).max().unwrap_or(0);
     let mut tasks = vec![0usize; workers];
     let mut steals = vec![0usize; workers];

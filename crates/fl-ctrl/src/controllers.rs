@@ -1,6 +1,8 @@
-//! Frequency controllers: the trained DRL actor and the baselines.
+//! Frequency controllers: the trained DRL actor and the baselines. The
+//! actor's report and fleet-round decisions share one body: the training
+//! observation ([`policy_observation`]) through [`DrlController::decide_rows`].
 
-use crate::flenv::{squash_to_freq, ObsMode};
+use crate::flenv::{policy_observation, squash_actions, ObsMode, Participation};
 use crate::solver::{optimize_frequencies, SolverParams};
 use crate::{CtrlError, Result};
 use fl_rl::{GaussianPolicy, RunningNorm};
@@ -440,13 +442,10 @@ pub struct DrlController {
     pub history_len: usize,
     /// Squash floor used during training.
     pub min_freq_frac: f64,
-    /// When true (fault-aware training), the policy expects participation
-    /// feedback from the previous iteration appended to the bandwidth
-    /// observation — per-device flags in [`ObsMode::PerDevice`], a single
-    /// survival fraction in [`ObsMode::Pooled`].
+    /// True when trained with faults: the observation carries the previous
+    /// round's participation ([`policy_observation`]).
     pub participation_tail: bool,
-    /// Observation layout the policy was trained under (must match what
-    /// `decide` builds; set by `train_drl` from the env config).
+    /// Observation layout the policy was trained under.
     pub obs_mode: ObsMode,
 }
 
@@ -485,7 +484,7 @@ impl DrlController {
     /// for non-broadcast policies.
     pub fn with_fleet_sim(&self, fleet: &FleetSim) -> Result<Self> {
         let statics = crate::train::fleet_statics(fleet.state(), fleet.config().tau);
-        let policy = self.policy.with_fleet(statics).map_err(CtrlError::from)?;
+        let policy = self.policy.with_fleet(statics)?;
         Ok(DrlController {
             policy,
             obs_norm: self.obs_norm.clone(),
@@ -493,31 +492,27 @@ impl DrlController {
         })
     }
 
-    /// Pooled-observation decision against a sharded [`FleetSim`]: the
-    /// same body as the [`FrequencyController::decide`] pooled path, fed
-    /// the previous round's [`FleetRound::survival_fraction`]. Broadcast
-    /// policies run inference in bounded row chunks, so the full
-    /// `N x in_dim` batch is never materialized.
+    /// [`FrequencyController::decide`] fed the previous sharded
+    /// [`FleetRound`] (its outcome tally) instead of a per-device report,
+    /// so a per-device participation tail is an error here. Broadcast
+    /// inference runs in bounded row chunks.
     pub fn decide_fleet(
         &self,
         t_start: f64,
         fleet: &FleetSim,
         prev: Option<&FleetRound>,
     ) -> Result<Vec<f64>> {
-        if self.obs_mode != ObsMode::Pooled {
-            return Err(CtrlError::InvalidArgument(
-                "decide_fleet requires a controller trained with ObsMode::Pooled".to_string(),
-            ));
-        }
-        // Optimistic first-round convention, matching `decide`.
-        let survival = prev.map_or(1.0, |r| r.survival_fraction());
-        self.decide_pooled(t_start, fleet, survival)
+        self.decide_on(t_start, fleet, prev.map(Participation::Round))
     }
 
-    /// The pooled decision: observe the fleet's quantile summary (with the
-    /// survival tail when trained with one), then decide it as a 1-row
+    /// The one decision body: the training observation, decided as a 1-row
     /// [`DrlController::decide_rows`] batch.
-    fn decide_pooled(&self, t_start: f64, fleet: &FleetSim, survival: f64) -> Result<Vec<f64>> {
+    fn decide_on(
+        &self,
+        t_start: f64,
+        fleet: &FleetSim,
+        prev: Option<Participation<'_>>,
+    ) -> Result<Vec<f64>> {
         // The pooled obs width cannot catch a fleet-size mismatch (that is
         // the point of it), so check the action side.
         if self.policy.action_dim() != fleet.num_devices() {
@@ -528,8 +523,15 @@ impl DrlController {
                 fleet.num_devices()
             )));
         }
-        let survival = self.participation_tail.then_some(survival);
-        let obs = fleet.observe_pooled(t_start, self.slot_h, self.history_len, survival)?;
+        let obs = policy_observation(
+            fleet,
+            t_start,
+            self.slot_h,
+            self.history_len,
+            self.obs_mode,
+            self.participation_tail,
+            prev,
+        )?;
         Ok(self
             .decide_rows(&[obs], &fleet.state().delta_max_ghz)?
             .remove(0))
@@ -545,14 +547,7 @@ impl DrlController {
         let norm = self.obs_norm.normalize_batch(rows)?;
         let means = self.policy.mean_actions(&norm)?;
         Ok((0..means.rows())
-            .map(|r| {
-                means
-                    .row(r)
-                    .iter()
-                    .zip(caps)
-                    .map(|(&a, &cap)| squash_to_freq(a, cap, self.min_freq_frac))
-                    .collect()
-            })
+            .map(|r| squash_actions(means.row(r), caps, self.min_freq_frac))
             .collect())
     }
 
@@ -590,36 +585,7 @@ impl FrequencyController for DrlController {
         sys: &FleetSim,
         prev: Option<&IterationReport>,
     ) -> Result<Vec<f64>> {
-        let n = sys.num_devices();
-        // A report from a different fleet (or none, on the first
-        // iteration) gets the optimistic all-survived convention, matching
-        // the env's post-reset observation.
-        let prev = prev.filter(|r| r.devices.len() == n);
-        match self.obs_mode {
-            ObsMode::PerDevice => {
-                let mut obs =
-                    sys.observe_bandwidth_state(t_start, self.slot_h, self.history_len)?;
-                if self.participation_tail {
-                    match prev {
-                        Some(r) => obs.extend(r.devices.iter().map(|d| {
-                            if d.status.survived() {
-                                1.0
-                            } else {
-                                0.0
-                            }
-                        })),
-                        None => obs.resize(obs.len() + n, 1.0),
-                    }
-                }
-                Ok(self
-                    .decide_rows(&[obs], &sys.state().delta_max_ghz)?
-                    .remove(0))
-            }
-            ObsMode::Pooled => {
-                let survival = prev.map_or(1.0, |r| r.survivors() as f64 / n as f64);
-                self.decide_pooled(t_start, sys, survival)
-            }
-        }
+        self.decide_on(t_start, sys, prev.map(Participation::Report))
     }
 }
 
@@ -829,6 +795,35 @@ mod tests {
         let norm = RunningNorm::new(10, 10.0);
         let mut c = DrlController::new(policy, norm, 10.0, 4, 0.1).unwrap();
         assert!(c.decide(0, 100.0, &sys, None).is_err());
+    }
+
+    /// A fleet round carries only outcome counts, so a per-device
+    /// participation tail cannot be built from it; a report can.
+    #[test]
+    fn per_device_tail_needs_per_device_feedback() {
+        let mut sys = system(15, 3);
+        let h = 4usize;
+        let w = 3 * (h + 2);
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        let policy = GaussianPolicy::new(w, &[8], 3, -0.5, &mut rng).unwrap();
+        let norm = RunningNorm::new(w, 10.0);
+        let mut c = DrlController::new(policy, norm, 10.0, h, 0.1).unwrap();
+        c.participation_tail = true;
+        let freqs = c.decide_fleet(200.0, &sys, None).unwrap();
+        let report = sys.run_iteration(200.0, &freqs).unwrap();
+        let round = sys
+            .run_round(200.0, &freqs, &fl_sim::FleetFaults::none(3))
+            .unwrap();
+        assert!(c
+            .decide_fleet(round.end_time(), &sys, Some(&round))
+            .is_err());
+        let t = report.end_time();
+        let after_report = c.decide(1, t, &sys, Some(&report)).unwrap();
+        let fresh = c.decide(1, t, &sys, None).unwrap();
+        assert_eq!(
+            after_report, fresh,
+            "a clean report feeds the all-survived tail"
+        );
     }
 
     /// The fleet-side decision paths reject an observation one column too

@@ -10,10 +10,10 @@
 //!
 //! * the trained [`DrlController`] (policy weights, frozen Welford
 //!   observation statistics, and the env constants `h`, `H`,
-//!   `min_freq_frac`, participation-tail flag),
+//!   `min_freq_frac`, participation-tail flag, observation layout),
 //! * the per-device frequency caps `δ_i^max` captured from the training
 //!   fleet — the one piece of system state the squash
-//!   ([`crate::squash_to_freq`]) needs at decision time.
+//!   ([`crate::squash_actions`]) needs at decision time.
 //!
 //! Snapshots ride the existing `FLSNAP01` envelope through
 //! [`CheckpointStore`], so serving inherits the full crash-safety
@@ -23,7 +23,9 @@
 //! [`ControllerSnapshot::decide_rows`] is the batched decision path: `n`
 //! observations in, `n` frequency vectors out of
 //! [`DrlController::decide_rows`], the one decision body every deployed
-//! decision runs (normalize → one chunked policy forward → squash). The
+//! decision runs (normalize → one chunked policy forward → squash). A row
+//! is what [`crate::policy_observation`] builds under the controller's
+//! layout and tail — the input the policy was trained on. The
 //! blocked kernels compute every output element with a row-count-independent
 //! operation sequence and the Welford normalizer is per-element, so row `i`
 //! of a batch is bit-identical to evaluating that observation alone —
@@ -59,6 +61,7 @@ struct ConfigFingerprint {
     history_len: usize,
     min_freq_frac: f64,
     participation_tail: bool,
+    obs_mode: crate::ObsMode,
     delta_max_ghz: Vec<f64>,
 }
 
@@ -86,8 +89,7 @@ impl ControllerSnapshot {
     /// Packages a controller with the caps of the system it was trained
     /// against — the usual export path after training.
     pub fn from_system(controller: DrlController, sys: &FleetSim) -> Result<Self> {
-        let caps = sys.max_freqs();
-        Self::new(controller, caps)
+        Self::new(controller, sys.max_freqs())
     }
 
     /// Observation dimensionality a decision request must supply (including
@@ -110,7 +112,7 @@ impl ControllerSnapshot {
     }
 
     /// CRC-32 fingerprint of the serving configuration (dimensions, env
-    /// constants, frequency caps — not the weights). A client pins the
+    /// constants, observation layout, frequency caps — not the weights). A client pins the
     /// digest of the snapshot it was built against; the server rejects
     /// requests carrying a different one, and refuses to hot-reload a
     /// snapshot whose digest differs from the running one.
@@ -122,6 +124,7 @@ impl ControllerSnapshot {
             history_len: self.controller.history_len,
             min_freq_frac: self.controller.min_freq_frac,
             participation_tail: self.controller.participation_tail,
+            obs_mode: self.controller.obs_mode,
             delta_max_ghz: self.delta_max_ghz.clone(),
         };
         Ok(crc32(&encode_payload(&fp)?))
@@ -295,6 +298,17 @@ mod tests {
         ctrl3.min_freq_frac = 0.2;
         let e = ControllerSnapshot::new(ctrl3, a.delta_max_ghz.clone()).unwrap();
         assert_ne!(a.config_digest().unwrap(), e.config_digest().unwrap());
+    }
+
+    /// The observation layout changes what a request's row means, so two
+    /// snapshots differing only in `obs_mode` must not share a digest.
+    #[test]
+    fn digest_tracks_obs_mode() {
+        let (_, a) = snapshot(3);
+        let mut pooled = a.controller.clone();
+        pooled.obs_mode = crate::ObsMode::Pooled;
+        let b = ControllerSnapshot::new(pooled, a.delta_max_ghz.clone()).unwrap();
+        assert_ne!(a.config_digest().unwrap(), b.config_digest().unwrap());
     }
 
     #[test]

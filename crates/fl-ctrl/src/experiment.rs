@@ -81,8 +81,8 @@ pub fn run_controller_faulty(
 }
 
 /// Evaluates several controllers on the *same* system and start time on a
-/// bounded work-stealing pool (they only read the system). Results come
-/// back in input order regardless of scheduling.
+/// work-stealing pool of at most `FL_WORKERS` threads (they only read the
+/// system). Results come back in input order regardless of scheduling.
 pub fn compare_controllers(
     sys: &FleetSim,
     controllers: Vec<Box<dyn FrequencyController + Send>>,
@@ -101,8 +101,8 @@ pub fn compare_controllers_faulty(
     t_start: f64,
     plan: Option<&FaultPlan>,
 ) -> Result<Vec<ControllerRun>> {
-    let workers = fl_rl::pool::default_workers().min(controllers.len().max(1));
-    let run = fl_rl::pool::run_indexed(workers, controllers, |_, mut ctrl| {
+    let workers = fl_pool::env_workers().min(controllers.len().max(1));
+    let run = fl_pool::run_indexed(workers, controllers, |_, mut ctrl| {
         run_controller_faulty(sys, ctrl.as_mut(), iterations, t_start, plan)
     });
     run.results.into_iter().collect()
@@ -113,7 +113,7 @@ pub fn compare_controllers_faulty(
 #[derive(Debug, Clone)]
 pub struct SweepReport {
     /// Per-worker telemetry (tasks, steals, busy time).
-    pub workers: Vec<fl_rl::pool::WorkerStats>,
+    pub workers: Vec<fl_pool::WorkerStats>,
     /// Wall-clock duration of the whole sweep.
     pub wall: std::time::Duration,
 }
@@ -123,25 +123,7 @@ impl SweepReport {
     /// worker count and per-worker telemetry, with all timings under the
     /// `wall` sub-object (scheduling is physical, never deterministic).
     pub fn obs_event(&self, label: &str) -> fl_obs::Event {
-        let per_worker = serde_json::Value::Array(
-            self.workers
-                .iter()
-                .map(fl_rl::pool::WorkerStats::obs_value)
-                .collect(),
-        );
-        fl_obs::Event::phys("pool_round")
-            .s("label", label)
-            .u("workers", self.workers.len() as u64)
-            .u(
-                "tasks",
-                self.workers.iter().map(|w| w.tasks).sum::<usize>() as u64,
-            )
-            .wall_val("per_worker", per_worker)
-            .wall_f("s", self.wall.as_secs_f64())
-            .wall_f(
-                "busy_s",
-                self.workers.iter().map(|w| w.busy.as_secs_f64()).sum(),
-            )
+        fl_pool::round_event(label, &self.workers, self.wall)
     }
 
     /// Human-readable per-worker timing summary.
@@ -195,7 +177,7 @@ where
     R: Send,
     F: Fn(usize, T) -> Result<R> + Sync,
 {
-    let run = fl_rl::pool::run_indexed(workers, inputs, f);
+    let run = fl_pool::run_indexed(workers, inputs, f);
     let report = SweepReport {
         workers: run.workers,
         wall: run.wall,

@@ -1,8 +1,11 @@
-//! The DRL environment: federated learning as a control problem.
+//! The DRL environment: federated learning as a control problem, and the
+//! decision contract it shares with every deployed actor: the policy input
+//! is built only by [`policy_observation`] (width [`policy_obs_dim`]) and
+//! an action row becomes frequencies only through [`squash_actions`].
 
 use crate::{CtrlError, Result};
 use fl_rl::{Environment, Step};
-use fl_sim::{FaultModel, FaultPlan, FleetSim, IterationReport};
+use fl_sim::{FaultModel, FaultPlan, FleetRound, FleetSim, IterationReport, OutcomeTally};
 use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -111,12 +114,96 @@ pub fn squash_to_freq(raw: f64, delta_max: f64, min_frac: f64) -> f64 {
     (min_frac + s * (1.0 - min_frac)) * delta_max
 }
 
+/// Squashes one raw action row into frequencies, output `d` against cap
+/// `caps[d]` ([`squash_to_freq`]).
+pub fn squash_actions(raw: &[f64], caps: &[f64], min_frac: f64) -> Vec<f64> {
+    raw.iter()
+        .zip(caps)
+        .map(|(&a, &cap)| squash_to_freq(a, cap, min_frac))
+        .collect()
+}
+
+/// The previous round's outcome, as the observation's participation tail
+/// reads it.
+#[derive(Debug, Clone, Copy)]
+pub enum Participation<'a> {
+    /// Per-device outcomes of a [`FleetSim::run_iteration`] report.
+    Report(&'a IterationReport),
+    /// A sharded [`FleetSim::run_round`] summary: outcome counts only.
+    Round(&'a FleetRound),
+}
+
+impl Participation<'_> {
+    fn tally(self) -> OutcomeTally {
+        match self {
+            Participation::Report(r) => r.outcome_tally(),
+            Participation::Round(r) => r.tally,
+        }
+    }
+}
+
+/// Width of the [`policy_observation`] of an `n_devices` fleet.
+pub fn policy_obs_dim(n_devices: usize, history_len: usize, mode: ObsMode, tail: bool) -> usize {
+    match mode {
+        ObsMode::PerDevice => n_devices * (history_len + 1 + usize::from(tail)),
+        ObsMode::Pooled => fl_sim::pooled_obs_dim(history_len, tail),
+    }
+}
+
+/// The policy input for the round starting at `t_start`, the same in
+/// training and deployment:
+///
+/// * [`ObsMode::PerDevice`]: every device's `history_len + 1` most recent
+///   `slot_h`-second bandwidth averages, device-major; with the
+///   participation tail, then one flag per device (1.0 = survived);
+/// * [`ObsMode::Pooled`]: the fleet's quantile summary; with the tail, the
+///   previous round's [`OutcomeTally::survival_fraction`].
+///
+/// `prev` absent, or covering another device count, means every device
+/// survived. A [`Participation::Round`] has no per-device flags, so the
+/// per-device tail rejects it.
+pub fn policy_observation(
+    fleet: &FleetSim,
+    t_start: f64,
+    slot_h: f64,
+    history_len: usize,
+    mode: ObsMode,
+    participation_tail: bool,
+    prev: Option<Participation<'_>>,
+) -> Result<Vec<f64>> {
+    let n = fleet.num_devices();
+    let prev = prev.filter(|p| participation_tail && p.tally().total() == n);
+    match mode {
+        ObsMode::PerDevice => {
+            let mut obs = fleet.observe_bandwidth_state(t_start, slot_h, history_len)?;
+            if participation_tail {
+                let survived = match prev {
+                    None => vec![true; n],
+                    Some(Participation::Report(r)) => r.survivor_flags(),
+                    Some(Participation::Round(_)) => {
+                        let msg = "a per-device participation tail needs a per-device report";
+                        return Err(CtrlError::InvalidArgument(msg.to_string()));
+                    }
+                };
+                obs.extend(survived.into_iter().map(|s| if s { 1.0 } else { 0.0 }));
+            }
+            Ok(obs)
+        }
+        ObsMode::Pooled => {
+            let survival =
+                participation_tail.then(|| prev.map_or(1.0, |p| p.tally().survival_fraction()));
+            Ok(fleet.observe_pooled(t_start, slot_h, history_len, survival)?)
+        }
+    }
+}
+
 /// The paper's MDP (Section IV-B):
 ///
 /// * **State** `s_k`: for every device, the `H+1` most recent `h`-second
-///   bandwidth slot-averages (newest first), concatenated device-major.
+///   bandwidth slot-averages (newest first), concatenated device-major
+///   ([`policy_observation`], fault tail read from the last report).
 /// * **Action** `a_k`: one raw value per device, squashed into
-///   `(0, δ_i^max]` by [`squash_to_freq`].
+///   `(0, δ_i^max]` by [`squash_actions`].
 /// * **Reward** (Eq. 13): `r_k = −T^k − λ Σ_i E_i^k`.
 /// * **Episode**: `episode_len` synchronized FL iterations starting from a
 ///   uniformly random trace time (Algorithm 1 line 6).
@@ -129,9 +216,6 @@ pub struct FlFreqEnv {
     /// The episode's realized fault schedule (None on the fault-free path
     /// or before the first faulty reset).
     plan: Option<FaultPlan>,
-    /// Previous iteration's per-device participation flags (1.0 =
-    /// survived), appended to the observation when faults are enabled.
-    flags: Vec<f64>,
     /// Episodes started over this env's lifetime (bumped by the trait
     /// [`Environment::reset`], serialized with the env state). The episode
     /// currently in progress has index `started − 1`; it keys the
@@ -149,7 +233,6 @@ impl FlFreqEnv {
     /// Wraps a federated-learning system as an MDP.
     pub fn new(sys: FleetSim, cfg: EnvConfig) -> Result<Self> {
         cfg.validate()?;
-        let n = sys.num_devices();
         Ok(FlFreqEnv {
             sys,
             cfg,
@@ -157,7 +240,6 @@ impl FlFreqEnv {
             k: 0,
             last_report: None,
             plan: None,
-            flags: vec![1.0; n],
             started: 0,
             recorder: fl_obs::Recorder::disabled(),
             scope: "env0".to_string(),
@@ -177,11 +259,6 @@ impl FlFreqEnv {
     /// The wrapped system.
     pub fn system(&self) -> &FleetSim {
         &self.sys
-    }
-
-    /// The environment configuration.
-    pub fn env_config(&self) -> &EnvConfig {
-        &self.cfg
     }
 
     /// Current simulation time (s).
@@ -221,56 +298,16 @@ impl FlFreqEnv {
         Ok(())
     }
 
-    /// Squashes a raw action vector into per-device frequencies.
-    pub fn map_action(&self, raw: &[f64]) -> Vec<f64> {
-        self.sys
-            .state()
-            .delta_max_ghz
-            .iter()
-            .zip(raw)
-            .map(|(&cap, &a)| squash_to_freq(a, cap, self.cfg.min_freq_frac))
-            .collect()
-    }
-
     fn observe(&self) -> Result<Vec<f64>> {
-        match self.cfg.obs {
-            ObsMode::PerDevice => {
-                let mut obs = self.sys.observe_bandwidth_state(
-                    self.t,
-                    self.cfg.slot_h,
-                    self.cfg.history_len,
-                )?;
-                if self.cfg.faults_enabled() {
-                    obs.extend_from_slice(&self.flags);
-                }
-                Ok(obs)
-            }
-            ObsMode::Pooled => {
-                // The per-device participation tail collapses to one
-                // survival-fraction entry so the obs width stays fixed.
-                // Fold from +0.0 (std's `.sum()` starts at -0.0) so an
-                // all-failed round yields exactly +0.0, not -0.0.
-                let survival = self.cfg.faults_enabled().then(|| {
-                    self.flags.iter().fold(0.0, |a, &f| a + f) / self.flags.len().max(1) as f64
-                });
-                Ok(self.sys.observe_pooled(
-                    self.t,
-                    self.cfg.slot_h,
-                    self.cfg.history_len,
-                    survival,
-                )?)
-            }
-        }
-    }
-
-    /// Resets to a random start time, fallible version.
-    pub fn reset_at(&mut self, t_start: f64) -> Result<Vec<f64>> {
-        self.t = t_start;
-        self.k = 0;
-        self.last_report = None;
-        // Post-reset convention: every device assumed participating.
-        self.flags = vec![1.0; self.sys.num_devices()];
-        self.observe()
+        policy_observation(
+            &self.sys,
+            self.t,
+            self.cfg.slot_h,
+            self.cfg.history_len,
+            self.cfg.obs,
+            self.cfg.faults_enabled(),
+            self.last_report.as_ref().map(Participation::Report),
+        )
     }
 
     fn step_inner(&mut self, action: &[f64]) -> Result<Step> {
@@ -281,7 +318,11 @@ impl FlFreqEnv {
                 action.len()
             )));
         }
-        let freqs = self.map_action(action);
+        let freqs = squash_actions(
+            action,
+            &self.sys.state().delta_max_ghz,
+            self.cfg.min_freq_frac,
+        );
         let report = match &self.plan {
             Some(plan) => {
                 let faults = plan.faults_at(self.k as u64);
@@ -293,13 +334,6 @@ impl FlFreqEnv {
         self.emit_round_event(&report, &freqs);
         self.t = report.end_time();
         self.k += 1;
-        if self.cfg.faults_enabled() {
-            self.flags = report
-                .devices
-                .iter()
-                .map(|d| if d.status.survived() { 1.0 } else { 0.0 })
-                .collect();
-        }
         self.last_report = Some(report);
         let done = self.k >= self.cfg.episode_len;
         Ok(Step {
@@ -348,19 +382,12 @@ impl FlFreqEnv {
 
 impl Environment for FlFreqEnv {
     fn obs_dim(&self) -> usize {
-        match self.cfg.obs {
-            ObsMode::PerDevice => {
-                let base = self.sys.num_devices() * (self.cfg.history_len + 1);
-                if self.cfg.faults_enabled() {
-                    base + self.sys.num_devices()
-                } else {
-                    base
-                }
-            }
-            ObsMode::Pooled => {
-                fl_sim::pooled_obs_dim(self.cfg.history_len, self.cfg.faults_enabled())
-            }
-        }
+        policy_obs_dim(
+            self.sys.num_devices(),
+            self.cfg.history_len,
+            self.cfg.obs,
+            self.cfg.faults_enabled(),
+        )
     }
 
     fn action_dim(&self) -> usize {
@@ -388,7 +415,10 @@ impl Environment for FlFreqEnv {
                     .map_err(|e| fl_rl::RlError::Environment(e.to_string()))?,
             );
         }
-        self.reset_at(t)
+        self.t = t;
+        self.k = 0;
+        self.last_report = None;
+        self.observe()
             .map_err(|e| fl_rl::RlError::Environment(e.to_string()))
     }
 
@@ -418,7 +448,6 @@ struct FlFreqEnvState {
     k: usize,
     /// Lifetime episode counter (exact below 2⁵³ — far beyond any run).
     started: u64,
-    flags: Vec<f64>,
     last_report: Option<IterationReport>,
     plan: Option<PlanState>,
 }
@@ -438,7 +467,6 @@ impl fl_rl::SnapshotEnv for FlFreqEnv {
             t: self.t,
             k: self.k,
             started: self.started,
-            flags: self.flags.clone(),
             last_report: self.last_report.clone(),
             plan: self.plan.as_ref().map(|p| {
                 let (seed_lo, seed_hi) = fl_rl::snapshot::split_u64(p.seed());
@@ -456,12 +484,6 @@ impl fl_rl::SnapshotEnv for FlFreqEnv {
         let bad = |e: String| fl_rl::RlError::InvalidArgument(e);
         let s = FlFreqEnvState::from_value(state).map_err(|e| bad(e.to_string()))?;
         let n = self.sys.num_devices();
-        if s.flags.len() != n {
-            return Err(bad(format!(
-                "env state has {} participation flags, system has {n} devices",
-                s.flags.len()
-            )));
-        }
         if let Some(r) = &s.last_report {
             if r.devices.len() != n {
                 return Err(bad(format!(
@@ -480,7 +502,6 @@ impl fl_rl::SnapshotEnv for FlFreqEnv {
         self.t = s.t;
         self.k = s.k;
         self.started = s.started;
-        self.flags = s.flags;
         self.last_report = s.last_report;
         self.plan = plan;
         Ok(())

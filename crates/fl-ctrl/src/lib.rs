@@ -7,6 +7,9 @@
 //!   device's trailing `H+1` bandwidth slot-averages, action = the vector of
 //!   CPU-cycle frequencies (raw Gaussian outputs squashed into
 //!   `(0, δ_i^max]`), reward = `−(T^k + λ Σ_i E_i^k)` (Eq. 13),
+//! * [`policy_observation`] and [`squash_actions`] — the one decision
+//!   contract: every policy input (training, deployed, fleet, online) is
+//!   built by the first, every action row squashed by the second,
 //! * [`train_drl`] — the offline training procedure of **Algorithm 1**
 //!   (episode sampling with `θ_a^old`, PPO updates every time the replay
 //!   buffer fills, `θ_a^old ← θ_a` sync, buffer clear), producing the
@@ -77,7 +80,10 @@ pub use experiment::{
     compare_controllers, compare_controllers_faulty, run_controller, run_controller_faulty,
     run_parallel_sweep, ControllerRun, SweepReport,
 };
-pub use flenv::{build_system, build_system_with, squash_to_freq, EnvConfig, FlFreqEnv, ObsMode};
+pub use flenv::{
+    build_system, build_system_with, policy_obs_dim, policy_observation, squash_actions,
+    squash_to_freq, EnvConfig, FlFreqEnv, ObsMode, Participation,
+};
 pub use online::OnlineDrlController;
 pub use solver::{model_cost, optimize_frequencies, FreqPlan, SolverParams};
 pub use supervise::{

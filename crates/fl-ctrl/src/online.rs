@@ -7,23 +7,17 @@
 //! the policy tracks distribution shift (new routes, new devices) that a
 //! frozen actor would suffer under. Listed as future-work territory in
 //! DESIGN.md; compared against the frozen controller by `abl_online`.
+//! It observes through [`crate::policy_observation`] under its
+//! [`EnvConfig`] (layout and fault tail included), so the agent sees online
+//! exactly the input it was trained on.
 
 use crate::controllers::FrequencyController;
-use crate::flenv::{squash_to_freq, EnvConfig};
+use crate::flenv::{policy_observation, squash_actions, EnvConfig, Participation};
 use crate::{CtrlError, Result};
-use fl_rl::{PpoAgent, RolloutBuffer, Transition};
+use fl_rl::{ActOutput, PpoAgent, RolloutBuffer, Transition};
 use fl_sim::{FleetSim, IterationReport};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// A transition waiting for its reward (the iteration outcome arrives one
-/// `decide` call later, via `prev`).
-struct Pending {
-    norm_obs: Vec<f64>,
-    action: Vec<f64>,
-    log_prob: f64,
-    value: f64,
-}
 
 /// A frequency controller that keeps learning while it schedules.
 pub struct OnlineDrlController {
@@ -32,38 +26,21 @@ pub struct OnlineDrlController {
     env: EnvConfig,
     reward_scale: f64,
     rng: ChaCha8Rng,
-    pending: Option<Pending>,
+    /// The last action, waiting for its reward (the iteration outcome
+    /// arrives one `decide` call later, via `prev`).
+    pending: Option<ActOutput>,
     updates: usize,
 }
 
 impl OnlineDrlController {
     /// Wraps a (typically pre-trained) agent for continual operation.
     /// `env` must match the shapes the agent was built for; `seed` drives
-    /// both exploration and minibatch shuffling.
-    pub fn new(agent: PpoAgent, env: EnvConfig, reward_scale: f64, seed: u64) -> Result<Self> {
-        env.validate()?;
-        if !(reward_scale > 0.0) || !reward_scale.is_finite() {
-            return Err(CtrlError::InvalidArgument(format!(
-                "reward_scale must be positive and finite, got {reward_scale}"
-            )));
-        }
-        let buffer = agent.make_buffer().map_err(CtrlError::from)?;
-        Ok(OnlineDrlController {
-            agent,
-            buffer,
-            env,
-            reward_scale,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            pending: None,
-            updates: 0,
-        })
-    }
-
-    /// Like [`OnlineDrlController::new`] but with an explicit online
-    /// buffer size. Deployment streams produce transitions far slower than
-    /// offline rollouts, so a much smaller buffer (e.g. 32–64) keeps the
-    /// update cadence meaningful.
-    pub fn with_buffer_capacity(
+    /// both exploration and minibatch shuffling. A PPO update runs every
+    /// `buffer_capacity` iterations: deployment streams produce
+    /// transitions far slower than offline rollouts, so a buffer much
+    /// smaller than the training one (e.g. 32–64) keeps the update cadence
+    /// meaningful.
+    pub fn new(
         agent: PpoAgent,
         env: EnvConfig,
         reward_scale: f64,
@@ -76,12 +53,8 @@ impl OnlineDrlController {
                 "reward_scale must be positive and finite, got {reward_scale}"
             )));
         }
-        let buffer = RolloutBuffer::new(
-            buffer_capacity,
-            agent.policy().obs_dim(),
-            agent.policy().action_dim(),
-        )
-        .map_err(CtrlError::from)?;
+        let policy = agent.policy();
+        let buffer = RolloutBuffer::new(buffer_capacity, policy.obs_dim(), policy.action_dim())?;
         Ok(OnlineDrlController {
             agent,
             buffer,
@@ -116,67 +89,54 @@ impl FrequencyController for OnlineDrlController {
         sys: &FleetSim,
         prev: Option<&IterationReport>,
     ) -> Result<Vec<f64>> {
+        let obs = policy_observation(
+            sys,
+            t_start,
+            self.env.slot_h,
+            self.env.history_len,
+            self.env.obs,
+            self.env.faults_enabled(),
+            prev.map(Participation::Report),
+        )?;
         // Settle the previous action's transition now that its outcome is
         // known.
         if let (Some(pending), Some(report)) = (self.pending.take(), prev) {
             let reward = -report.cost(sys.config().lambda) * self.reward_scale;
-            self.buffer
-                .push(Transition {
-                    obs: pending.norm_obs,
-                    action: pending.action,
-                    log_prob: pending.log_prob,
-                    reward,
-                    value: pending.value,
-                    // The deployment stream is one endless episode.
-                    done: false,
-                })
-                .map_err(CtrlError::from)?;
+            self.buffer.push(Transition {
+                obs: pending.norm_obs,
+                action: pending.action,
+                log_prob: pending.log_prob,
+                reward,
+                value: pending.value,
+                // The deployment stream is one endless episode.
+                done: false,
+            })?;
             if self.buffer.is_full() {
-                let obs_now =
-                    sys.observe_bandwidth_state(t_start, self.env.slot_h, self.env.history_len)?;
-                let bootstrap = self
-                    .agent
-                    .bootstrap_value(&obs_now)
-                    .map_err(CtrlError::from)?;
-                self.agent
-                    .update(&self.buffer, bootstrap, &mut self.rng)
-                    .map_err(CtrlError::from)?;
+                let bootstrap = self.agent.bootstrap_value(&obs)?;
+                self.agent.update(&self.buffer, bootstrap, &mut self.rng)?;
                 self.buffer.clear();
                 self.updates += 1;
             }
         }
 
-        let obs = sys.observe_bandwidth_state(t_start, self.env.slot_h, self.env.history_len)?;
-        let out = self
-            .agent
-            .act(&obs, &mut self.rng)
-            .map_err(CtrlError::from)?;
-        let freqs: Vec<f64> = sys
-            .state()
-            .delta_max_ghz
-            .iter()
-            .zip(&out.action)
-            .map(|(&cap, &a)| squash_to_freq(a, cap, self.env.min_freq_frac))
-            .collect();
-        self.pending = Some(Pending {
-            norm_obs: out.norm_obs,
-            action: out.action,
-            log_prob: out.log_prob,
-            value: out.value,
-        });
+        let out = self.agent.act(&obs, &mut self.rng)?;
+        let caps = &sys.state().delta_max_ghz;
+        let freqs = squash_actions(&out.action, caps, self.env.min_freq_frac);
+        self.pending = Some(out);
         Ok(freqs)
     }
 
     fn reset(&mut self) {
         self.buffer.clear();
         self.pending = None;
+        self.updates = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_controller;
+    use crate::experiment::{run_controller, run_controller_faulty};
     use crate::flenv::build_system;
     use fl_net::synth::Profile;
     use fl_rl::PpoConfig;
@@ -211,7 +171,7 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        let ctrl = OnlineDrlController::new(agent, env, 0.05, 7).unwrap();
+        let ctrl = OnlineDrlController::new(agent, env, 0.05, 16, 7).unwrap();
         (sys, ctrl)
     }
 
@@ -221,7 +181,7 @@ mod tests {
         assert_eq!(ctrl.updates(), 0);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let agent = PpoAgent::new(4, 2, PpoConfig::default(), &mut rng).unwrap();
-        assert!(OnlineDrlController::new(agent, EnvConfig::default(), 0.0, 1).is_err());
+        assert!(OnlineDrlController::new(agent, EnvConfig::default(), 0.0, 16, 1).is_err());
     }
 
     #[test]
@@ -235,13 +195,59 @@ mod tests {
         assert!(run.ledger.mean_cost().is_finite());
     }
 
+    /// An agent trained in a pooled, fault-aware env (broadcast actor,
+    /// survival-fraction tail) keeps learning online under a fault plan:
+    /// the controller builds the training observation, tail included.
+    #[test]
+    fn pooled_fault_aware_broadcast_agent_learns_online() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let sys = build_system(
+            4,
+            2,
+            Profile::Walking4G,
+            2400,
+            FlConfig::default(),
+            &mut rng,
+        )
+        .unwrap();
+        let model = fl_sim::FaultModel::chaos(0.3, 0.3, Some(60.0));
+        let env = EnvConfig {
+            history_len: 3,
+            obs: crate::ObsMode::Pooled,
+            faults: Some(model),
+            ..EnvConfig::default()
+        };
+        let obs_dim = fl_sim::pooled_obs_dim(env.history_len, true);
+        let statics = crate::fleet_statics(sys.state(), sys.config().tau);
+        let policy =
+            fl_rl::GaussianPolicy::new_broadcast(obs_dim, statics, &[8], -0.5, &mut rng).unwrap();
+        let config = PpoConfig {
+            hidden: vec![8],
+            minibatch_size: 4,
+            epochs: 2,
+            target_kl: None,
+            ..PpoConfig::default()
+        };
+        let agent = PpoAgent::with_policy(policy, config, &mut rng).unwrap();
+        let mut ctrl = OnlineDrlController::new(agent, env, 0.05, 8, 9).unwrap();
+        let plan = fl_sim::FaultPlan::new(model, 4, 11).unwrap();
+        let run = run_controller_faulty(&sys, &mut ctrl, 12, 300.0, Some(&plan)).unwrap();
+        assert!(run.ledger.outcome_tally().survival_fraction() < 1.0);
+        assert_eq!(ctrl.updates(), 1);
+    }
+
     #[test]
     fn reset_clears_stream_state() {
         let (sys, mut ctrl) = setup();
-        run_controller(&sys, &mut ctrl, 5, 300.0).unwrap();
+        // 20 iterations with a 16-transition buffer: one update, then a
+        // partly filled buffer and a pending transition.
+        run_controller(&sys, &mut ctrl, 20, 300.0).unwrap();
+        assert_eq!(ctrl.updates(), 1);
+        assert!(!ctrl.buffer.is_empty());
         ctrl.reset();
         assert!(ctrl.pending.is_none());
         assert!(ctrl.buffer.is_empty());
+        assert_eq!(ctrl.updates(), 0);
         // Still operable after reset.
         assert!(ctrl.decide(0, 300.0, &sys, None).is_ok());
     }

@@ -563,7 +563,7 @@ impl Default for ParallelConfig {
     fn default() -> Self {
         ParallelConfig {
             n_envs: 4,
-            workers: fl_rl::pool::default_workers(),
+            workers: fl_pool::default_workers(),
         }
     }
 }
@@ -593,7 +593,7 @@ pub struct ParallelTrainOutput {
     /// The regular training output (controller, per-episode stats, agent).
     pub output: TrainOutput,
     /// Per-round worker telemetry from the rollout fan-out.
-    pub rounds: Vec<Vec<fl_rl::pool::WorkerStats>>,
+    pub rounds: Vec<Vec<fl_pool::WorkerStats>>,
 }
 
 /// Algorithm 1 with vectorized experience collection: `n_envs` environment

@@ -15,8 +15,7 @@
 //! retire immediately — no condition variables needed.
 //!
 //! This crate sits *below* `fl-nn` in the dependency graph so the blocked
-//! GEMM can row-split across the same pool the rollout runner uses;
-//! `fl-rl` re-exports it as `fl_rl::pool` for backward compatibility.
+//! GEMM can row-split across the same pool the rollout runner uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

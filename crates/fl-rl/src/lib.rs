@@ -42,13 +42,6 @@ pub mod runner;
 pub mod snapshot;
 mod value;
 
-/// The deterministic work-stealing pool, re-exported from [`fl_pool`].
-///
-/// The pool moved to its own crate so `fl-nn`'s parallel matmul can share
-/// it without a dependency cycle; every pre-existing `fl_rl::pool::*` path
-/// keeps working through this alias.
-pub use fl_pool as pool;
-
 pub use buffer::{RolloutBuffer, Transition};
 pub use env::{Environment, SnapshotEnv, Step};
 pub use error::RlError;

@@ -8,10 +8,10 @@
 
 use crate::buffer::{RolloutBuffer, Transition};
 use crate::env::{Environment, SnapshotEnv, Step};
-use crate::pool::{self, WorkerStats};
 use crate::ppo::{PpoAgent, UpdateStats};
 use crate::snapshot::RngState;
 use crate::{Result, RlError};
+use fl_pool::{self as pool, WorkerStats};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Value};

@@ -66,6 +66,10 @@ const LATENCY_BOUNDS_US: [f64; 19] = [
 /// Upper edges for the micro-batch-size histogram.
 const BATCH_BOUNDS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
 
+/// Socket read-poll interval of connection and scrape threads: how quickly
+/// an idle connection thread notices a server shutdown.
+const READ_POLL: Duration = Duration::from_millis(250);
+
 /// Tuning knobs for [`DecisionServer::start`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -74,9 +78,6 @@ pub struct ServeOptions {
     /// How long the inference thread waits after the first queued request
     /// for more to arrive (the batching window). Zero disables lingering.
     pub linger: Duration,
-    /// Socket read-poll interval: how quickly idle connection threads
-    /// notice a server shutdown.
-    pub read_timeout: Duration,
     /// Per-connection response-write timeout: a peer that stops reading
     /// is disconnected once a write stalls this long, instead of pinning
     /// its connection thread forever. `None` disables the guard.
@@ -112,7 +113,6 @@ impl Default for ServeOptions {
         ServeOptions {
             max_batch: 32,
             linger: Duration::from_micros(500),
-            read_timeout: Duration::from_millis(250),
             write_timeout: Some(Duration::from_secs(5)),
             max_queue: 256,
             default_deadline: None,
@@ -237,7 +237,6 @@ pub(crate) struct Shared {
     default_deadline: Option<Duration>,
     inference_slowdown: Duration,
     linger: Duration,
-    read_timeout: Duration,
     write_timeout: Option<Duration>,
 }
 
@@ -400,7 +399,6 @@ impl DecisionServer {
             default_deadline: opts.default_deadline,
             inference_slowdown: opts.inference_slowdown,
             linger: opts.linger,
-            read_timeout: opts.read_timeout,
             write_timeout: opts.write_timeout,
         });
         shared.metrics.recorder.emit(
@@ -679,7 +677,7 @@ fn reload_poll_loop(shared: Arc<Shared>, interval: Duration) {
 /// unrecoverable framing violation.
 fn handle_connection(shared: Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(shared.write_timeout);
     loop {
         match read_frame(&mut stream) {
@@ -1011,7 +1009,7 @@ fn scrape_loop(listener: TcpListener, shared: Arc<Shared>) {
             return;
         }
         let Ok(mut stream) = stream else { continue };
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+        let _ = stream.set_read_timeout(Some(READ_POLL));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
         let mut buf = [0u8; 1024];
         let _ = stream.read(&mut buf);

@@ -265,16 +265,6 @@ impl FleetRound {
     pub fn end_time(&self) -> f64 {
         self.start_time + self.duration
     }
-
-    /// Fraction of devices whose update reached the aggregator —
-    /// integer-derived, so exact and shard/permutation invariant.
-    pub fn survival_fraction(&self) -> f64 {
-        let total = self.tally.total();
-        if total == 0 {
-            return 0.0;
-        }
-        (self.tally.completed + self.tally.straggled) as f64 / total as f64
-    }
 }
 
 /// Per-shard partial results: level-1 tree partials plus the shard-local
@@ -768,7 +758,7 @@ impl FleetSim {
     /// Quantile-pooled observation of the fleet at time `t` — the
     /// fixed-size state vector one policy can consume at any `N`. See
     /// [`pooled_observation`] for the schema; pass `survival` from the
-    /// previous round's [`FleetRound::survival_fraction`] when the fault
+    /// previous round's [`OutcomeTally::survival_fraction`] when the fault
     /// tail is wanted.
     ///
     /// Bit-identical to [`pooled_observation`] over

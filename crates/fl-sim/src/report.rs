@@ -127,6 +127,18 @@ impl OutcomeTally {
     pub fn total(&self) -> usize {
         self.completed + self.straggled + self.dropped + self.failed
     }
+
+    /// Fraction of the recorded outcomes whose update reached the
+    /// aggregator (0 when nothing was recorded). An integer count over an
+    /// integer total, so exact and shard/permutation invariant, and an
+    /// all-failed round gives +0.0.
+    pub fn survival_fraction(&self) -> f64 {
+        let total = self.total();
+        if total == 0 {
+            return 0.0;
+        }
+        (self.completed + self.straggled) as f64 / total as f64
+    }
 }
 
 /// Accumulates [`IterationReport`]s over a session and exposes the series
