@@ -69,7 +69,8 @@ fn mk(rows: usize, cols: usize, salt: usize) -> Matrix {
 /// The benchmarked operations. Square matmuls frame the headline number
 /// (the dense forward/backward GEMMs); `tn`/`nt` cover the gradient
 /// kernels; the fused case compares one fused sweep against the reference's
-/// unfused matmul-then-broadcast; transpose covers the tiled copy.
+/// unfused matmul-then-broadcast; transpose covers the tiled copy; the tanh
+/// case compares the in-repo activation against libm.
 ///
 /// All kernel-vs-kernel matmuls force the serial path (`parallel: false`)
 /// so the measurement is a single-thread kernel comparison regardless of
@@ -131,6 +132,25 @@ pub fn ops() -> Vec<KernelOp> {
                 KernelKind::Naive => {
                     black_box(a.naive_transpose());
                 }
+            }),
+        });
+    }
+    // Activation at the decide shape: one 8192-row chunk of a 64-wide tanh
+    // hidden layer. The blocked slot runs the in-repo vectorized tanh (what
+    // the dense forward applies), the naive slot libm's `f64::tanh` per
+    // element (what it applied before). Both pay the same copy of the
+    // pre-activations.
+    {
+        let pre = Matrix::from_fn(8192, 64, |r, c| ((r * 64 + c) % 601) as f64 / 100.0 - 3.0);
+        ops.push(KernelOp {
+            name: "tanh_8192x64".to_string(),
+            f: Box::new(move |kind| {
+                let mut z = pre.clone();
+                match kind {
+                    KernelKind::Blocked => fl_nn::tanh_slice(z.data_mut()),
+                    KernelKind::Naive => z.map_inplace(f64::tanh),
+                }
+                black_box(z);
             }),
         });
     }
@@ -260,6 +280,7 @@ mod tests {
                 "matmul_nt_64",
                 "matmul_add_bias_64",
                 "transpose_256",
+                "tanh_8192x64",
                 "matmul_256_par4",
                 "rollout_forward_batched_32",
             ]

@@ -137,7 +137,7 @@ impl LocalTrainer {
                 let pred = model.try_forward(&xb)?;
                 let (l, dl) = self.loss_and_grad(&pred, &targets)?;
                 model.zero_grad();
-                model.backward(&dl)?;
+                model.backward(dl)?;
                 opt.step(model);
                 epoch_loss += l;
                 batches += 1;

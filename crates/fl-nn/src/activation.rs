@@ -4,8 +4,9 @@ use serde::{Deserialize, Serialize};
 
 /// Pointwise activation applied after a dense layer's affine transform.
 ///
-/// The derivative is evaluated at the *pre-activation* value `z`, matching
-/// how [`crate::Dense`] caches its forward pass.
+/// The derivative is evaluated from the value [`crate::Dense`] keeps from
+/// its forward pass: the output `y = f(z)`, except for Softplus, which
+/// keeps the pre-activation `z` (see [`Activation::derivative`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Activation {
     /// `f(z) = z` — used on output layers of regressors / policy means.
@@ -15,6 +16,7 @@ pub enum Activation {
     /// Leaky ReLU with slope 0.01 for negative inputs.
     LeakyRelu,
     /// Hyperbolic tangent, the paper-standard hidden activation for PPO.
+    /// Computed by the crate's host-independent [`crate::tanh`].
     Tanh,
     /// Logistic sigmoid `1 / (1 + e^-z)`.
     Sigmoid,
@@ -39,40 +41,63 @@ impl Activation {
                     LEAKY_SLOPE * z
                 }
             }
-            Activation::Tanh => z.tanh(),
+            Activation::Tanh => crate::tanh(z),
             Activation::Sigmoid => sigmoid(z),
             Activation::Softplus => softplus(z),
         }
     }
 
-    /// Derivative `f'(z)` evaluated at the pre-activation value `z`.
+    /// Applies the activation in place to every element. Bit-identical to
+    /// mapping [`Activation::apply`]; tanh runs on the widest vector unit.
+    pub(crate) fn apply_slice(self, zs: &mut [f64]) {
+        match self {
+            Activation::Identity => {}
+            Activation::Tanh => crate::tanh_slice(zs),
+            _ => {
+                for z in zs {
+                    *z = self.apply(*z);
+                }
+            }
+        }
+    }
+
+    /// Whether [`Activation::derivative`] takes the output `y = f(z)`:
+    /// true for every activation except Softplus, whose derivative `σ(z)`
+    /// is not a function of `y` at the same bits.
+    pub fn derivative_takes_output(self) -> bool {
+        self != Activation::Softplus
+    }
+
+    /// The derivative `f'`, from the output `y = f(z)` — or from the
+    /// pre-activation `z` for Softplus (see
+    /// [`Activation::derivative_takes_output`]).
+    ///
+    /// Each output form gives the bits of the textbook form at `z`,
+    /// because `y` is exactly the value that form recomputes: `1 − y²` is
+    /// `1 − tanh(z)²`, `y(1 − y)` is `σ(z)(1 − σ(z))`, and `y > 0` holds
+    /// exactly when `z > 0` for ReLU and leaky ReLU (NaN included: ReLU
+    /// maps it to 0 and leaky ReLU keeps it NaN, both not `> 0`).
     #[inline]
-    pub fn derivative(self, z: f64) -> f64 {
+    pub fn derivative(self, v: f64) -> f64 {
         match self {
             Activation::Identity => 1.0,
             Activation::Relu => {
-                if z > 0.0 {
+                if v > 0.0 {
                     1.0
                 } else {
                     0.0
                 }
             }
             Activation::LeakyRelu => {
-                if z > 0.0 {
+                if v > 0.0 {
                     1.0
                 } else {
                     LEAKY_SLOPE
                 }
             }
-            Activation::Tanh => {
-                let t = z.tanh();
-                1.0 - t * t
-            }
-            Activation::Sigmoid => {
-                let s = sigmoid(z);
-                s * (1.0 - s)
-            }
-            Activation::Softplus => sigmoid(z),
+            Activation::Tanh => 1.0 - v * v,
+            Activation::Sigmoid => v * (1.0 - v),
+            Activation::Softplus => sigmoid(v),
         }
     }
 }
@@ -155,7 +180,8 @@ mod tests {
                     continue;
                 }
                 let fd = (act.apply(z + eps) - act.apply(z - eps)) / (2.0 * eps);
-                let an = act.derivative(z);
+                let v = if act.derivative_takes_output() { act.apply(z) } else { z };
+                let an = act.derivative(v);
                 prop_assert!(
                     (fd - an).abs() < 1e-4,
                     "{act:?} at {z}: fd={fd}, analytic={an}"

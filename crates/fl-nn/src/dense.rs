@@ -22,9 +22,11 @@ pub struct Dense {
     /// Cached input of the last `forward` call (needed by `backward`).
     #[serde(skip)]
     cached_input: Option<Matrix>,
-    /// Cached pre-activation of the last `forward` call.
+    /// What [`Activation::derivative`] reads in `backward`: the output of
+    /// the last `forward` call, or its pre-activation for Softplus. `None`
+    /// for Identity, whose derivative is 1.
     #[serde(skip)]
-    cached_pre: Option<Matrix>,
+    cached_act: Option<Matrix>,
 }
 
 impl Dense {
@@ -43,7 +45,7 @@ impl Dense {
             grad_w: None,
             grad_b: None,
             cached_input: None,
-            cached_pre: None,
+            cached_act: None,
         }
     }
 
@@ -86,45 +88,66 @@ impl Dense {
     /// without an extra clone. This is the path [`crate::Mlp`] threads its
     /// hidden activations through.
     pub fn forward_owned(&mut self, x: Matrix) -> Result<Matrix> {
-        let pre = x.matmul_add_bias(&self.w, &self.b)?;
-        let out = pre.map(|z| self.activation.apply(z));
+        let act = self.activation;
+        let (out, cached) = if act.derivative_takes_output() {
+            let y = self.infer(&x)?;
+            let cached = (act != Activation::Identity).then(|| y.clone());
+            (y, cached)
+        } else {
+            let pre = x.matmul_add_bias(&self.w, &self.b)?;
+            let mut y = pre.clone();
+            act.apply_slice(y.data_mut());
+            (y, Some(pre))
+        };
         self.cached_input = Some(x);
-        self.cached_pre = Some(pre);
+        self.cached_act = cached;
         Ok(out)
     }
 
-    /// Stateless forward pass for inference (no caches touched).
+    /// Stateless forward pass for inference (no caches touched). The
+    /// activation runs inside each row partition of the pool-split fused
+    /// matmul, right after that partition's rows are computed.
     pub fn infer(&self, x: &Matrix) -> Result<Matrix> {
-        let mut pre = x.matmul_add_bias(&self.w, &self.b)?;
-        pre.map_inplace(|z| self.activation.apply(z));
-        Ok(pre)
+        self.infer_on(x, None)
+    }
+
+    /// [`Dense::infer`] at an explicit pool width, for the conformance
+    /// check that the partitioned forward equals the serial one.
+    #[cfg(any(test, feature = "reference-kernels"))]
+    pub fn infer_with_workers(&self, x: &Matrix, workers: usize) -> Result<Matrix> {
+        self.infer_on(x, Some(workers))
+    }
+
+    fn infer_on(&self, x: &Matrix, workers: Option<usize>) -> Result<Matrix> {
+        let act = self.activation;
+        x.affine_then(&self.w, &self.b, workers, |z| act.apply_slice(z))
     }
 
     /// Backward pass: consumes `dl/dy` for the cached batch, accumulates
-    /// `dl/dW`, `dl/db`, and returns `dl/dx`.
+    /// `dl/dW`, `dl/db`, and returns `dl/dx`. `dy` is scaled in place into
+    /// `dl/dz`.
     ///
     /// Returns an error when called before `forward` or with a gradient whose
     /// shape does not match the cached batch.
-    pub fn backward(&mut self, dy: &Matrix) -> Result<Matrix> {
+    pub fn backward(&mut self, dy: Matrix) -> Result<Matrix> {
         let x = self.cached_input.as_ref().ok_or_else(|| {
             NnError::InvalidArgument("backward called before forward".to_string())
         })?;
-        let pre = self
-            .cached_pre
-            .as_ref()
-            .expect("cached_pre set whenever cached_input is");
-        if dy.shape() != pre.shape() {
+        let out_shape = (x.rows(), self.out_dim());
+        if dy.shape() != out_shape {
             return Err(NnError::ShapeMismatch {
                 op: "dense backward",
-                lhs: pre.shape(),
+                lhs: out_shape,
                 rhs: dy.shape(),
             });
         }
-        // dz = dy (elementwise*) act'(pre)
-        let act = self.activation;
-        let mut dz = dy.clone();
-        for (d, &z) in dz.data_mut().iter_mut().zip(pre.data()) {
-            *d *= act.derivative(z);
+        // dz = dy (elementwise*) act'; Identity's factor 1 leaves dy as is.
+        let mut dz = dy;
+        if let Some(cached) = &self.cached_act {
+            let act = self.activation;
+            for (d, &v) in dz.data_mut().iter_mut().zip(cached.data()) {
+                *d *= act.derivative(v);
+            }
         }
         // dW += x^T dz ; db += column sums of dz ; dx = dz W^T
         let dw = x.matmul_tn(&dz)?;
@@ -153,27 +176,14 @@ impl Dense {
     /// Visits `(param, grad)` pairs in a stable order: weights row-major,
     /// then biases. Missing gradients visit as `0.0`.
     pub fn visit_params(&mut self, f: &mut impl FnMut(&mut f64, f64)) {
-        let zero_w;
-        let gw = match &self.grad_w {
-            Some(g) => g.data(),
-            None => {
-                zero_w = vec![0.0; self.w.rows() * self.w.cols()];
-                &zero_w[..]
-            }
-        };
-        // `gw` borrows grad_w while we mutate w — safe because they are
-        // distinct fields, but the borrow checker needs the clone below when
-        // gradients exist. Keep it simple: copy the gradient slices out.
-        let gw: Vec<f64> = gw.to_vec();
-        for (p, g) in self.w.data_mut().iter_mut().zip(gw) {
-            f(p, g);
+        let w = self.w.data_mut();
+        match &self.grad_w {
+            Some(g) => w.iter_mut().zip(g.data()).for_each(|(p, &g)| f(p, g)),
+            None => w.iter_mut().for_each(|p| f(p, 0.0)),
         }
-        let gb: Vec<f64> = match &self.grad_b {
-            Some(g) => g.clone(),
-            None => vec![0.0; self.b.len()],
-        };
-        for (p, g) in self.b.iter_mut().zip(gb) {
-            f(p, g);
+        match &self.grad_b {
+            Some(g) => self.b.iter_mut().zip(g).for_each(|(p, &g)| f(p, g)),
+            None => self.b.iter_mut().for_each(|p| f(p, 0.0)),
         }
     }
 
@@ -258,7 +268,7 @@ mod tests {
     #[test]
     fn backward_before_forward_errors() {
         let mut l = layer(Activation::Identity);
-        assert!(l.backward(&Matrix::zeros(1, 2)).is_err());
+        assert!(l.backward(Matrix::zeros(1, 2)).is_err());
     }
 
     #[test]
@@ -266,7 +276,7 @@ mod tests {
         let mut l = layer(Activation::Identity);
         let x = Matrix::zeros(4, 3);
         l.forward(&x).unwrap();
-        assert!(l.backward(&Matrix::zeros(3, 2)).is_err());
+        assert!(l.backward(Matrix::zeros(3, 2)).is_err());
     }
 
     #[test]
@@ -278,7 +288,7 @@ mod tests {
         let x = Matrix::from_vec(1, 2, vec![1.0, -2.0]).unwrap();
         l.forward(&x).unwrap();
         let dy = Matrix::from_vec(1, 2, vec![0.5, 1.5]).unwrap();
-        let dx = l.backward(&dy).unwrap();
+        let dx = l.backward(dy.clone()).unwrap();
         let expected_dx = dy.matmul_nt(l.weights()).unwrap();
         assert_eq!(dx, expected_dx);
         let gw = l.grad_w.as_ref().unwrap();
@@ -293,10 +303,10 @@ mod tests {
         let x = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f64 * 0.1);
         let dy = Matrix::filled(2, 2, 1.0);
         l.forward(&x).unwrap();
-        l.backward(&dy).unwrap();
+        l.backward(dy.clone()).unwrap();
         let g1 = l.grad_sq_sum();
         l.forward(&x).unwrap();
-        l.backward(&dy).unwrap();
+        l.backward(dy.clone()).unwrap();
         let g2 = l.grad_sq_sum();
         // Doubled gradients => 4x squared sum.
         assert!((g2 - 4.0 * g1).abs() < 1e-9 * g1.max(1.0));
@@ -320,6 +330,141 @@ mod tests {
         assert_eq!(saved, restored);
     }
 
+    const ALL: [Activation; 6] = [
+        Activation::Identity,
+        Activation::Relu,
+        Activation::LeakyRelu,
+        Activation::Tanh,
+        Activation::Sigmoid,
+        Activation::Softplus,
+    ];
+
+    /// The pre-activation derivative formulas `backward` used before it
+    /// read the cached output, verbatim (tanh through the crate's tanh,
+    /// which the forward uses).
+    fn derivative_at_pre(act: Activation, z: f64) -> f64 {
+        match act {
+            Activation::Identity => 1.0,
+            Activation::Relu => {
+                if z > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Activation::LeakyRelu => {
+                if z > 0.0 {
+                    1.0
+                } else {
+                    0.01
+                }
+            }
+            Activation::Tanh => {
+                let t = crate::tanh(z);
+                1.0 - t * t
+            }
+            Activation::Sigmoid => {
+                let s = crate::activation::sigmoid(z);
+                s * (1.0 - s)
+            }
+            Activation::Softplus => crate::activation::sigmoid(z),
+        }
+    }
+
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    #[test]
+    fn output_based_derivative_matches_pre_activation_formula() {
+        let sub = f64::from_bits(1);
+        let max_sub = f64::from_bits(0x000f_ffff_ffff_ffff);
+        let mut zs = vec![
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            sub,
+            max_sub,
+            1e-300,
+            0.5,
+            3.0,
+            30.0,
+        ];
+        zs.extend([710.0, 1e308, f64::MIN_POSITIVE, 2f64.powi(-55), 22.0]);
+        zs.extend((-40..=40).map(|i| i as f64 * 0.37));
+        let negated: Vec<f64> = zs.iter().map(|&z| -z).collect();
+        zs.extend(negated);
+        for act in ALL {
+            assert_eq!(act.derivative_takes_output(), act != Activation::Softplus);
+            for &z in &zs {
+                let v = if act.derivative_takes_output() {
+                    act.apply(z)
+                } else {
+                    z
+                };
+                let (new, old) = (act.derivative(v), derivative_at_pre(act, z));
+                assert!(
+                    same_bits(new, old),
+                    "{act:?} at z = {z:e}: {new:e} vs {old:e}"
+                );
+            }
+        }
+    }
+
+    /// Through the layer: with `W = 1`, `b = 0` the pre-activation is the
+    /// input, so `dl/db` of a one-row batch with `dy = 2` is `2 · f'(z)`,
+    /// formed from the cache (the output, or `z` for Softplus).
+    #[test]
+    fn backward_scales_by_derivative_at_each_pre_activation() {
+        let zs = [
+            -30.0, -3.0, -0.5, -1e-300, 1e-300, 0.25, 1.0, 2.5, 21.0, 40.0,
+        ];
+        for act in ALL {
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            let mut l = Dense::new(1, 1, act, Init::XavierUniform, &mut rng);
+            l.import_params(&[1.0, 0.0]).unwrap();
+            for z in zs {
+                l.zero_grad();
+                let y = l.forward(&Matrix::row_vector(&[z])).unwrap();
+                assert!(
+                    same_bits(y.get(0, 0), act.apply(z)),
+                    "{act:?} forward at {z}"
+                );
+                l.backward(Matrix::row_vector(&[2.0])).unwrap();
+                let db = l.grad_b.as_ref().unwrap()[0];
+                let want = 2.0 * derivative_at_pre(act, z);
+                assert!(
+                    same_bits(db, want),
+                    "{act:?} at z = {z:e}: {db:e} vs {want:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn visit_params_pairs_each_param_with_its_gradient() {
+        let mut l = layer(Activation::Identity);
+        let mut zeros = Vec::new();
+        l.visit_params(&mut |_, g| zeros.push(g));
+        assert_eq!(zeros, vec![0.0; l.num_params()]);
+        let x = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f64 - 2.5);
+        l.forward(&x).unwrap();
+        l.backward(Matrix::from_fn(2, 2, |r, c| (r + 2 * c) as f64 + 0.5))
+            .unwrap();
+        let mut want = l.grad_w.as_ref().unwrap().data().to_vec();
+        want.extend_from_slice(l.grad_b.as_ref().unwrap());
+        let mut params = Vec::new();
+        l.export_params(&mut params);
+        let mut seen = Vec::new();
+        let mut visited = Vec::new();
+        l.visit_params(&mut |p, g| {
+            visited.push(*p);
+            seen.push(g);
+        });
+        assert_eq!(seen, want);
+        assert_eq!(visited, params);
+    }
+
     #[test]
     fn import_rejects_short_slice() {
         let mut l = layer(Activation::Tanh);
@@ -331,7 +476,7 @@ mod tests {
         let mut l = layer(Activation::Identity);
         let x = Matrix::filled(1, 3, 1.0);
         l.forward(&x).unwrap();
-        l.backward(&Matrix::filled(1, 2, 1.0)).unwrap();
+        l.backward(Matrix::filled(1, 2, 1.0)).unwrap();
         let before = l.grad_sq_sum();
         l.scale_grads(0.5);
         let after = l.grad_sq_sum();

@@ -85,7 +85,7 @@ pub fn grad_check_mse(net: &mut Mlp, x: &Matrix, y: &Matrix, eps: f64) -> Result
         let pred = n.forward(&xb);
         let (_, dl) = crate::loss::mse(&pred, &yb).expect("shapes fixed");
         n.zero_grad();
-        n.backward(&dl).expect("backward after forward");
+        n.backward(dl).expect("backward after forward");
     };
     grad_check(net, loss_fn, backward_fn, eps)
 }
@@ -207,7 +207,7 @@ mod tests {
             let pred = net.forward(&x);
             let (_, dl) = crate::loss::mse(&pred, &y).unwrap();
             net.zero_grad();
-            net.backward(&dl).unwrap();
+            net.backward(dl).unwrap();
             let mut grads = Vec::with_capacity(net.num_params());
             net.visit_params(|_, g| grads.push(g.to_bits()));
             grads

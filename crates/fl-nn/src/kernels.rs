@@ -170,19 +170,24 @@ fn matmul_body<const BIAS: bool, const SKIP: bool>(
     }
 }
 
-/// Runtime-dispatched SIMD monomorphizations of [`matmul_body`].
+/// Runtime-dispatched SIMD monomorphizations of [`matmul_body`] and of the
+/// `tanh` slice body.
 ///
 /// The reference kernels define the bits; these re-compilations only widen
 /// the vector units the *same* op sequence runs on. Each wrapper is a safe
-/// `#[target_feature]` function whose body is the portable `matmul_body`
-/// — identical Rust, so identical per-element IEEE-754 ops — and the only
-/// `unsafe` in the crate is calling them, guarded by
-/// `is_x86_feature_detected!`. (This is why the crate is `deny(unsafe_code)`
-/// rather than `forbid`: this module is the single, documented exception.)
+/// `#[target_feature]` function whose body is the portable one — identical
+/// Rust, so identical per-element IEEE-754 ops — and the only `unsafe` in
+/// the crate is calling them, guarded by `is_x86_feature_detected!`. (This
+/// is why the crate is `deny(unsafe_code)` rather than `forbid`: this
+/// module is the single, documented exception.) Every tier also enables
+/// `fma`: rustc never contracts `a * b + c` on its own, so the matmul body
+/// keeps its separate `mul` and `add`, and the `tanh` body's explicit
+/// `mul_add`s become single instructions instead of libm calls.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
     use super::matmul_body;
+    use crate::tanh::tanh_body;
     use std::sync::atomic::{AtomicU8, Ordering};
 
     const ISA_UNRESOLVED: u8 = 0;
@@ -196,9 +201,10 @@ mod simd {
     fn isa() -> u8 {
         match ISA.load(Ordering::Relaxed) {
             ISA_UNRESOLVED => {
-                let level = if std::arch::is_x86_feature_detected!("avx512f") {
+                let fma = std::arch::is_x86_feature_detected!("fma");
+                let level = if fma && std::arch::is_x86_feature_detected!("avx512f") {
                     ISA_AVX512
-                } else if std::arch::is_x86_feature_detected!("avx2") {
+                } else if fma && std::arch::is_x86_feature_detected!("avx2") {
                     ISA_AVX2
                 } else {
                     ISA_NONE
@@ -219,16 +225,40 @@ mod simd {
         };
     }
 
-    monomorphize!(mm_skip_avx512, "avx512f", false, true);
-    monomorphize!(mm_bias_avx512, "avx512f", true, true);
-    monomorphize!(mm_noskip_avx512, "avx512f", false, false);
-    monomorphize!(mm_skip_avx2, "avx2", false, true);
-    monomorphize!(mm_bias_avx2, "avx2", true, true);
-    monomorphize!(mm_noskip_avx2, "avx2", false, false);
+    monomorphize!(mm_skip_avx512, "avx512f,fma", false, true);
+    monomorphize!(mm_bias_avx512, "avx512f,fma", true, true);
+    monomorphize!(mm_noskip_avx512, "avx512f,fma", false, false);
+    monomorphize!(mm_skip_avx2, "avx2,fma", false, true);
+    monomorphize!(mm_bias_avx2, "avx2,fma", true, true);
+    monomorphize!(mm_noskip_avx2, "avx2,fma", false, false);
+
+    #[target_feature(enable = "avx512f,fma")]
+    fn tanh_avx512(xs: &mut [f64]) {
+        tanh_body(xs)
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    fn tanh_avx2(xs: &mut [f64]) {
+        tanh_body(xs)
+    }
+
+    /// Runs the `tanh` slice body under the widest available vector ISA;
+    /// `false` means the caller should run the baseline-compiled body.
+    pub(super) fn tanh(xs: &mut [f64]) -> bool {
+        match isa() {
+            // SAFETY: each arm is reached only after the corresponding
+            // target features were detected on this CPU at runtime.
+            ISA_AVX512 => unsafe { tanh_avx512(xs) },
+            ISA_AVX2 => unsafe { tanh_avx2(xs) },
+            _ => return false,
+        }
+        true
+    }
 
     /// Runs [`matmul_body`] under the widest available vector ISA.
-    /// Returns `false` when neither AVX-512 nor AVX2 is present and the
-    /// caller should fall back to the baseline-compiled body.
+    /// Returns `false` when neither AVX-512 nor AVX2 (each with FMA) is
+    /// present and the caller should fall back to the baseline-compiled
+    /// body.
     pub(super) fn run<const BIAS: bool, const SKIP: bool>(
         a: &[f64],
         b: &[f64],
@@ -265,7 +295,7 @@ mod simd {
 
 /// Dispatches one matmul sweep to the widest ISA monomorphization, falling
 /// back to the baseline-compiled [`matmul_body`] off x86-64 (or on CPUs
-/// without AVX2).
+/// without AVX2 and FMA).
 #[inline]
 fn run_matmul<const BIAS: bool, const SKIP: bool>(
     a: &[f64],
@@ -280,6 +310,18 @@ fn run_matmul<const BIAS: bool, const SKIP: bool>(
         return;
     }
     matmul_body::<BIAS, SKIP>(a, b, bias, out, k, n)
+}
+
+/// Applies [`crate::tanh`] in place to every element, on the widest vector
+/// unit the CPU offers (falling back to the baseline-compiled body, as the
+/// matmul dispatch does). Bit-identical to mapping [`crate::tanh`] over the
+/// slice.
+pub fn tanh_slice(xs: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::tanh(xs) {
+        return;
+    }
+    crate::tanh::tanh_body(xs)
 }
 
 /// Blocked `out = a · b` over a row range (`a` is `rows x k` for

@@ -7,6 +7,8 @@
 //! * [`Matrix`] — a row-major `f64` matrix with cache-friendly and
 //!   (above a size threshold) multi-threaded matrix multiplication,
 //! * [`Dense`] — a fully-connected layer with manual backpropagation,
+//! * [`tanh`] / [`tanh_slice`] — a host-independent, vectorized tanh (the
+//!   hidden activation of the PPO nets),
 //! * [`Mlp`] — a stack of dense layers behind a simple train/infer API,
 //! * [`Adam`], [`Sgd`], [`RmsProp`] — optimizers over a flat parameter view,
 //! * [`grad_check`](gradcheck::grad_check) — finite-difference gradient
@@ -33,7 +35,7 @@
 //!     let pred = net.forward(&x);
 //!     let (l, dl) = loss::mse(&pred, &y).unwrap();
 //!     net.zero_grad();
-//!     net.backward(&dl);
+//!     net.backward(dl).unwrap();
 //!     opt.step(&mut net);
 //!     let _ = l;
 //! }
@@ -41,8 +43,8 @@
 
 // `deny`, not `forbid`: the one sanctioned exception is `kernels::simd`,
 // which calls safe `#[target_feature]` monomorphizations of the portable
-// matmul body behind runtime CPU-feature detection. No raw pointers, no
-// intrinsics — the `unsafe` is exactly the feature-gated calls.
+// matmul and tanh bodies behind runtime CPU-feature detection. No raw
+// pointers, no intrinsics — the `unsafe` is exactly the feature-gated calls.
 #![deny(unsafe_code)]
 // `!(x > 0.0)`-style guards reject NaN along with out-of-range values;
 // clippy's suggested inversion (`x <= 0.0`) would silently accept NaN.
@@ -59,6 +61,7 @@ pub mod loss;
 mod matrix;
 mod mlp;
 mod optim;
+mod tanh;
 
 pub use activation::Activation;
 pub use dense::Dense;
@@ -66,10 +69,11 @@ pub use error::NnError;
 pub use init::Init;
 #[cfg(any(test, feature = "reference-kernels"))]
 pub use kernels::set_kernel_kind;
-pub use kernels::{kernel_kind, KernelKind};
+pub use kernels::{kernel_kind, tanh_slice, KernelKind};
 pub use matrix::Matrix;
 pub use mlp::Mlp;
 pub use optim::{Adam, OptimState, Optimizer, RmsProp, Sgd};
+pub use tanh::tanh;
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, NnError>;

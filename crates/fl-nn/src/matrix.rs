@@ -122,15 +122,6 @@ impl Matrix {
         }
     }
 
-    /// Creates an n x 1 column vector from a slice.
-    pub fn col_vector(v: &[f64]) -> Self {
-        Matrix {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
     /// The identity matrix of size `n`.
     pub fn identity(n: usize) -> Self {
         Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
@@ -458,7 +449,8 @@ impl Matrix {
     }
 
     /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
+    #[cfg(test)]
+    fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|a| a * a).sum::<f64>().sqrt()
     }
 
@@ -612,7 +604,7 @@ impl Matrix {
     /// `matmul` followed by `add_row_broadcast` — per element, both compute
     /// the full k-sum first and add the bias term last.
     pub fn matmul_add_bias(&self, other: &Matrix, bias: &[f64]) -> Result<Matrix> {
-        self.matmul_add_bias_impl(other, bias, kernels::kernel_kind())
+        self.affine_then(other, bias, None, |_| {})
     }
 
     /// [`Matrix::matmul_add_bias`] with an explicit kernel family.
@@ -623,7 +615,26 @@ impl Matrix {
         bias: &[f64],
         kind: KernelKind,
     ) -> Result<Matrix> {
-        self.matmul_add_bias_impl(other, bias, kind)
+        self.matmul_add_bias_impl(other, bias, kind, None, |_| {})
+    }
+
+    /// The dense forward `post(self * other + bias)`: `post` (an
+    /// elementwise activation) runs on each row partition of the output
+    /// right after that partition's fused matmul, on the same pool worker,
+    /// instead of as a serial pass over the whole output. `workers` bounds
+    /// the pool width when the shape takes the parallel path; `None` reads
+    /// `FL_WORKERS` then, and only then (the lookup is not free).
+    ///
+    /// `post` must be elementwise, so running it per partition cannot
+    /// change a bit (the row-split argument of [`Matrix::matmul`]).
+    pub(crate) fn affine_then(
+        &self,
+        other: &Matrix,
+        bias: &[f64],
+        workers: Option<usize>,
+        post: impl Fn(&mut [f64]) + Sync,
+    ) -> Result<Matrix> {
+        self.matmul_add_bias_impl(other, bias, kernels::kernel_kind(), workers, post)
     }
 
     fn matmul_add_bias_impl(
@@ -631,6 +642,8 @@ impl Matrix {
         other: &Matrix,
         bias: &[f64],
         kind: KernelKind,
+        workers: Option<usize>,
+        post: impl Fn(&mut [f64]) + Sync,
     ) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(NnError::ShapeMismatch {
@@ -646,38 +659,19 @@ impl Matrix {
                 rhs: (1, bias.len()),
             });
         }
+        let (m, k, n) = (self.rows, self.cols, other.cols);
         match kind {
             KernelKind::Blocked => {
-                let (m, k, n) = (self.rows, self.cols, other.cols);
                 let mut out = Matrix::zeros(m, n);
+                let fused = |a_chunk: &[f64], out_chunk: &mut [f64]| {
+                    kernels::blocked_matmul_bias(a_chunk, &other.data, bias, out_chunk, k, n);
+                    post(out_chunk);
+                };
                 if par_dispatch(m, k, n) {
-                    Self::row_split_parallel(
-                        fl_pool::env_workers(),
-                        &self.data,
-                        &mut out.data,
-                        m,
-                        k,
-                        n,
-                        |a_chunk, out_chunk| {
-                            kernels::blocked_matmul_bias(
-                                a_chunk,
-                                &other.data,
-                                bias,
-                                out_chunk,
-                                k,
-                                n,
-                            )
-                        },
-                    );
+                    let workers = workers.unwrap_or_else(fl_pool::env_workers);
+                    Self::row_split_parallel(workers, &self.data, &mut out.data, m, k, n, fused);
                 } else {
-                    kernels::blocked_matmul_bias(
-                        &self.data,
-                        &other.data,
-                        bias,
-                        &mut out.data,
-                        self.cols,
-                        other.cols,
-                    );
+                    fused(&self.data, &mut out.data);
                 }
                 Ok(out)
             }
@@ -686,6 +680,7 @@ impl Matrix {
             KernelKind::Naive => {
                 let mut out = self.matmul_impl(other, kind, true)?;
                 out.add_row_broadcast(bias)?;
+                post(&mut out.data);
                 Ok(out)
             }
         }

@@ -125,13 +125,13 @@ impl Mlp {
     }
 
     /// Backpropagates `dl/dy` through the cached batch, accumulating
-    /// gradients in every layer, and returns `dl/dx`.
-    pub fn backward(&mut self, dloss_dout: &Matrix) -> Result<Matrix> {
-        let mut d = dloss_dout.clone();
-        for layer in self.layers.iter_mut().rev() {
-            d = layer.backward(&d)?;
-        }
-        Ok(d)
+    /// gradients in every layer, and returns `dl/dx`. The gradient is
+    /// threaded through the layers by value; each scales it in place.
+    pub fn backward(&mut self, dloss_dout: Matrix) -> Result<Matrix> {
+        self.layers
+            .iter_mut()
+            .rev()
+            .try_fold(dloss_dout, |d, layer| layer.backward(d))
     }
 
     /// Clears accumulated gradients in every layer.
@@ -270,9 +270,7 @@ mod tests {
         let x = Matrix::from_fn(4, 3, |r, c| (r + c) as f64 * 0.1);
         let y = n.forward(&x);
         n.zero_grad();
-        let d = n
-            .backward(&Matrix::filled(y.rows(), y.cols(), 1.0))
-            .unwrap();
+        let d = n.backward(Matrix::filled(y.rows(), y.cols(), 1.0)).unwrap();
         assert_eq!(d.shape(), (4, 3));
         assert!(n.grad_norm().is_finite());
         assert!(n.grad_norm() > 0.0);
@@ -284,7 +282,7 @@ mod tests {
         let x = Matrix::filled(8, 3, 1.0);
         let y = n.forward(&x);
         n.zero_grad();
-        n.backward(&Matrix::filled(y.rows(), y.cols(), 100.0))
+        n.backward(Matrix::filled(y.rows(), y.cols(), 100.0))
             .unwrap();
         let pre = n.clip_grad_norm(0.5);
         assert!(pre > 0.5);

@@ -268,7 +268,7 @@ mod tests {
             let pred = net.forward(&x);
             let (l, dl) = loss::mse(&pred, &y).unwrap();
             net.zero_grad();
-            net.backward(&dl).unwrap();
+            net.backward(dl).unwrap();
             opt.step(net);
             last = l;
         }
@@ -349,7 +349,7 @@ mod tests {
                 let pred = n.forward(&x);
                 let (_, dl) = loss::mse(&pred, &y).unwrap();
                 n.zero_grad();
-                n.backward(&dl).unwrap();
+                n.backward(dl).unwrap();
                 o.step(n);
             }
         }

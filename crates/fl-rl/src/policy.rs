@@ -486,7 +486,7 @@ impl GaussianPolicy {
         }
         match &mut self.arch {
             MeanArch::Joint(net) => {
-                net.backward(&dmean)?;
+                net.backward(dmean)?;
             }
             MeanArch::Shared { net, n_devices, .. }
             | MeanArch::Broadcast { net, n_devices, .. } => {
@@ -496,7 +496,7 @@ impl GaussianPolicy {
                 let nd = *n_devices;
                 let flat = Matrix::from_vec(n * nd, 1, dmean.into_data())
                     .expect("n x N reshapes to (n*N) x 1");
-                net.backward(&flat)?;
+                net.backward(flat)?;
             }
         }
         Ok(())

@@ -634,7 +634,7 @@ impl PpoAgent {
                     return Err(RlError::Diverged(format!("non-finite value loss {vloss}")));
                 }
                 self.value.net_mut().zero_grad();
-                self.value.net_mut().backward(&dv)?;
+                self.value.net_mut().backward(dv)?;
                 self.value
                     .net_mut()
                     .clip_grad_norm(self.config.max_grad_norm);

@@ -95,7 +95,7 @@ mod tests {
             first.get_or_insert(l);
             last = l;
             v.net_mut().zero_grad();
-            v.net_mut().backward(&dl).unwrap();
+            v.net_mut().backward(dl).unwrap();
             opt.step(v.net_mut());
         }
         assert!(

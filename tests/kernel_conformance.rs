@@ -12,6 +12,11 @@
 //! values; and full `train_drl_parallel` runs are fingerprinted under both
 //! `KernelKind`s at 1 and 4 workers, with and without fault injection.
 //!
+//! The tanh rows: the in-repo `fl_nn::tanh` equals libm's bit for bit on
+//! FMA hosts, its SIMD dispatch equals its portable body on every host,
+//! and the dense forward that applies it per row partition equals the
+//! serial, unfused forward.
+//!
 //! The pool-parallel extension: the row-split GEMM path is forced at
 //! explicit worker counts (1/2/4/8) via `matmul_par_with_workers` /
 //! `matmul_nt_par_with_workers` and compared bitwise against the serial
@@ -435,6 +440,144 @@ fn golden_matmul_tn_nt() {
             a.matmul_nt_with(&c, kind).unwrap().data(),
             &expected_nt,
             "{kind:?} nt"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// tanh: one in-repo body, equal to libm, to itself at every vector width,
+// and to itself inside the partitioned dense forward.
+// ---------------------------------------------------------------------------
+
+/// Inputs that reach every case of the tanh lane body: ±0, subnormals,
+/// the `2⁻⁵⁵` cut, the `|x| = 1` and `|x| = 22` cuts, ±∞, NaN, f64 edges,
+/// the `expm1` reduction cuts and every `k · ln2 / 2` (each reduction
+/// multiple `k` tanh reaches), each of those negated, a dense sweep of
+/// `[0, 30]`, uniform draws on `[−3, 3]`, and random bit patterns.
+fn tanh_inputs() -> Vec<f64> {
+    let mut xs = vec![
+        0.0,
+        f64::INFINITY,
+        f64::NAN,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        1e-300,
+        0.5,
+        19.0,
+        28.0,
+        700.0,
+    ];
+    let ulps =
+        |x: f64, n: i64| (-n..=n).map(move |d| f64::from_bits((x.to_bits() as i64 + d) as u64));
+    for edge in [2f64.powi(-55), 2f64.powi(-54), 1.0, 22.0] {
+        xs.extend(ulps(edge, 64));
+    }
+    // `expm1` sees 2|x|: its `½ ln2` and `1.5 ln2` high-word cuts.
+    for hi_word in [0x3fd6_2e42u64, 0x3fd6_2e43, 0x3ff0_a2b1, 0x3ff0_a2b2] {
+        xs.extend(ulps(f64::from_bits(hi_word << 32) / 2.0, 8));
+    }
+    for k in 1..=64 {
+        xs.extend(ulps(k as f64 * std::f64::consts::LN_2 / 2.0, 4));
+    }
+    let negated: Vec<f64> = xs.iter().map(|&x| -x).collect();
+    xs.extend(negated);
+    // tanh is odd (the body works on |x|), so the bulk inputs are not
+    // mirrored: every one is a new magnitude.
+    let step = 2f64.powi(-15);
+    xs.extend((0..=(30.0 / step) as usize).map(|i| i as f64 * step));
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+    xs.extend((0..800_000).map(|_| rng.gen_range(-3.0..3.0)));
+    xs.extend((0..200_000).map(|_| f64::from_bits(rng.gen::<u64>())));
+    xs
+}
+
+/// Whether this host's libm `tanh` is glibc's FMA build, which the in-repo
+/// body reproduces: x86-64 glibc picks that build on CPUs with FMA.
+fn libm_tanh_is_fma_build() -> bool {
+    #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+    {
+        std::arch::is_x86_feature_detected!("fma")
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_env = "gnu")))]
+    {
+        false
+    }
+}
+
+/// The in-repo tanh equals `f64::tanh` bit for bit on every non-NaN input
+/// (and NaN in gives NaN out) where libm runs the FMA build. Other libms
+/// round differently in the last places, so there the row checks 2 ulps.
+#[test]
+fn tanh_matches_libm_bitwise() {
+    let bitwise = libm_tanh_is_fma_build();
+    let mut mismatches = Vec::new();
+    for x in tanh_inputs() {
+        let (ours, libm) = (fl_nn::tanh(x), x.tanh());
+        if x.is_nan() {
+            assert!(ours.is_nan(), "tanh(NaN) = {ours}");
+            continue;
+        }
+        let ulp_gap = (ours.to_bits() as i64 - libm.to_bits() as i64).unsigned_abs();
+        if ulp_gap > if bitwise { 0 } else { 2 } {
+            mismatches.push((x, ours, libm));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} inputs differ from libm (bitwise: {bitwise}), first: {:?}",
+        mismatches.len(),
+        &mismatches[..mismatches.len().min(5)]
+    );
+}
+
+/// The SIMD-dispatched slice body equals the portable scalar body bitwise,
+/// on every host: the vector width regroups lanes, never a lane's ops.
+#[test]
+fn tanh_simd_dispatch_matches_portable_body() {
+    let xs = tanh_inputs();
+    let mut dispatched = xs.clone();
+    fl_nn::tanh_slice(&mut dispatched);
+    for (&x, &y) in xs.iter().zip(&dispatched) {
+        let want = fl_nn::tanh(x);
+        assert!(
+            y.to_bits() == want.to_bits() || (y.is_nan() && want.is_nan()),
+            "tanh_slice({x:e}) = {y:e}, portable body gives {want:e}"
+        );
+    }
+}
+
+/// The fused, pool-partitioned dense forward (matmul + bias + tanh per row
+/// partition) equals the serial unfused one bitwise at the decide shape
+/// (8192 × 63 input, 64 units), at every worker count and in both kernel
+/// families.
+#[test]
+fn partitioned_tanh_dense_forward_matches_serial() {
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+    let layer = fl_nn::Dense::new(
+        63,
+        64,
+        fl_nn::Activation::Tanh,
+        fl_nn::Init::XavierUniform,
+        &mut rng,
+    );
+    let x = rand_matrix(&mut rng, 8192, 63, true);
+    let mut serial = x
+        .matmul_with(layer.weights(), KernelKind::Blocked, false)
+        .unwrap();
+    serial.add_row_broadcast(layer.biases()).unwrap();
+    serial.map_inplace(fl_nn::tanh);
+    let serial = bits(&serial);
+    for kind in [KernelKind::Blocked, KernelKind::Naive] {
+        let _guard = KernelGuard::select(kind);
+        for workers in [1usize, 2, 4, 8] {
+            let fused = layer.infer_with_workers(&x, workers).unwrap();
+            assert!(bits(&fused) == serial, "{kind:?} workers={workers}");
+        }
+        assert!(
+            bits(&layer.infer(&x).unwrap()) == serial,
+            "{kind:?} env workers"
         );
     }
 }
