@@ -196,10 +196,11 @@ fn gate_kernel() -> bool {
     let mut failures = Vec::new();
     for attempt in 1..=ATTEMPTS {
         let measured = measure(BUDGET);
+        println!("bench_check[kernel]: attempt {attempt}/{ATTEMPTS} measured:");
+        print_report(&measured);
         failures = check(&baseline, &measured);
         if failures.is_empty() {
             println!("bench_check[kernel]: OK (attempt {attempt}/{ATTEMPTS})");
-            print_report(&measured);
             return true;
         }
         eprintln!(

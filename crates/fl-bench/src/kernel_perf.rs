@@ -135,8 +135,8 @@ pub fn ops() -> Vec<KernelOp> {
             }),
         });
     }
-    // Activation at the decide shape: one 8192-row chunk of a 64-wide tanh
-    // hidden layer. The blocked slot runs the in-repo vectorized tanh (what
+    // Activation at the decide width: 8192 rows of a 64-wide tanh hidden
+    // layer (256 of the decide's 32-row tiles). The blocked slot runs the in-repo vectorized tanh (what
     // the dense forward applies), the naive slot libm's `f64::tanh` per
     // element (what it applied before). Both pay the same copy of the
     // pre-activations.

@@ -495,7 +495,7 @@ impl DrlController {
     /// [`FrequencyController::decide`] fed the previous sharded
     /// [`FleetRound`] (its outcome tally) instead of a per-device report,
     /// so a per-device participation tail is an error here. Broadcast
-    /// inference runs in bounded row chunks.
+    /// inference runs tile by tile, never building the `N` input rows.
     pub fn decide_fleet(
         &self,
         t_start: f64,
@@ -542,7 +542,7 @@ impl DrlController {
     /// actor over them in one [`GaussianPolicy::mean_actions`] call, and
     /// squashes output `d` of each row into `(0, caps[d]]`. Row `i` of the
     /// result is bit-identical to deciding row `i` alone, and a broadcast
-    /// policy bound to a large fleet runs in bounded row chunks.
+    /// policy bound to a large fleet runs tile by tile.
     pub fn decide_rows<R: AsRef<[f64]>>(&self, rows: &[R], caps: &[f64]) -> Result<Vec<Vec<f64>>> {
         let norm = self.obs_norm.normalize_batch(rows)?;
         let means = self.policy.mean_actions(&norm)?;

@@ -23,7 +23,7 @@
 //! [`ControllerSnapshot::decide_rows`] is the batched decision path: `n`
 //! observations in, `n` frequency vectors out of
 //! [`DrlController::decide_rows`], the one decision body every deployed
-//! decision runs (normalize → one chunked policy forward → squash). A row
+//! decision runs (normalize → one tiled policy forward → squash). A row
 //! is what [`crate::policy_observation`] builds under the controller's
 //! layout and tail — the input the policy was trained on. The
 //! blocked kernels compute every output element with a row-count-independent

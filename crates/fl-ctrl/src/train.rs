@@ -987,7 +987,6 @@ mod tests {
         let mut ctrl = out.controller;
         assert_eq!(ctrl.obs_mode, ObsMode::Pooled);
         assert!(ctrl.participation_tail);
-        assert!(ctrl.policy().is_broadcast());
         // Pooled width: 5 quantiles × (H+1) slots + 10 statics quantiles
         // + 1 survival entry, independent of N.
         assert_eq!(
@@ -1015,6 +1014,7 @@ mod tests {
         )
         .unwrap();
         assert!(ctrl.decide(0, 500.0, &big, None).is_err());
+        // Only a broadcast policy rebinds.
         let mut rebound = ctrl.with_fleet_sim(&big).unwrap();
         assert_eq!(
             rebound.policy().mean_net().export_params(),

@@ -10,6 +10,7 @@
 //! * [`tanh`] / [`tanh_slice`] — a host-independent, vectorized tanh (the
 //!   hidden activation of the PPO nets),
 //! * [`Mlp`] — a stack of dense layers behind a simple train/infer API,
+//!   whose inference runs tile by tile over a [`TiledInput`],
 //! * [`Adam`], [`Sgd`], [`RmsProp`] — optimizers over a flat parameter view,
 //! * [`grad_check`](gradcheck::grad_check) — finite-difference gradient
 //!   verification used by the test-suite to validate every backward pass.
@@ -62,6 +63,7 @@ mod matrix;
 mod mlp;
 mod optim;
 mod tanh;
+mod tiled;
 
 pub use activation::Activation;
 pub use dense::Dense;
@@ -74,6 +76,7 @@ pub use matrix::Matrix;
 pub use mlp::Mlp;
 pub use optim::{Adam, OptimState, Optimizer, RmsProp, Sgd};
 pub use tanh::tanh;
+pub use tiled::TiledInput;
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, NnError>;

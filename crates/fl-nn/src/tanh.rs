@@ -103,6 +103,12 @@ fn expm1_lane(a: f64, pos: bool) -> f64 {
     }
 }
 
+/// `a` where `mask` is all ones, `b` where it is all zeros, by bits.
+#[inline(always)]
+fn blend(mask: u64, a: f64, b: f64) -> f64 {
+    f64::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
+}
+
 /// Hyperbolic tangent, host-independent (see the module docs).
 ///
 /// This is the lane body: every fdlibm case is computed, then one is
@@ -115,8 +121,13 @@ pub fn tanh(x: f64) -> f64 {
     let big = ax >= 1.0;
     // |x| ≥ 1: 1 − 2/(expm1(2|x|) + 2); below: −t/(t + 2), t = expm1(−2|x|).
     let t = expm1_lane(if big { 2.0 * ax } else { -2.0 * ax }, big);
-    let q = (if big { 2.0 } else { -t }) / (t + 2.0);
-    let z = if big { 1.0 - q } else { q };
+    // The two later `big` selects are bit blends, not `if`s: LLVM threads
+    // repeated `if big` branches through the inlined `expm1_lane`, and the
+    // vectorized loop then runs both copies (two `expm1`s and two
+    // quotients: four divides per vector instead of two).
+    let m = (big as u64).wrapping_neg();
+    let q = blend(m, 2.0, -t) / (t + 2.0);
+    let z = blend(m, 1.0 - q, q);
     // |x| ≥ 22 (±∞ included): fdlibm's `1 − tiny`, which rounds to 1.
     let z = if ax < 22.0 { z } else { 1.0 };
     // `z ≥ 0`, so flipping the sign bit is fdlibm's `−z` for negative x.

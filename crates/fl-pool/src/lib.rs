@@ -23,6 +23,7 @@
 use crossbeam::thread as cb_thread;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Per-worker execution telemetry, reported by the benchmark binaries.
@@ -126,19 +127,24 @@ pub fn round_event(label: &str, workers: &[WorkerStats], wall: Duration) -> fl_o
         .wall_f("busy_s", busy.as_secs_f64())
 }
 
-/// Default worker count: the machine's available parallelism.
+/// Default worker count: the machine's available parallelism, resolved
+/// once per process. `available_parallelism` re-reads the cgroup CPU quota
+/// on every call (tens of µs), and every parallel matmul asks.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Worker count honoring the `FL_WORKERS` environment variable: the parsed
 /// value when it is a positive integer, otherwise [`default_workers`].
 ///
-/// Read on every call (an env lookup is nothing next to the work a pool
-/// round fans out), so CI matrices and tests that vary `FL_WORKERS`
-/// per-invocation see the live value. Thanks to the determinism contract
+/// `FL_WORKERS` is read on every call (an env lookup is nothing next to
+/// the work a pool round fans out), so CI matrices and tests that vary it
+/// per-invocation see the live value; only the default is cached. Thanks to the determinism contract
 /// the value only ever changes wall-clock time, never results — callers on
 /// hot paths (the parallel matmul) need no further validation or warning
 /// plumbing here; `fl-bench`'s `workers_from_env_obs` adds the loud
@@ -478,6 +484,26 @@ mod tests {
             );
             let total: usize = run.workers.iter().map(|w| w.tasks).sum();
             assert_eq!(total, 37);
+        }
+    }
+
+    #[test]
+    fn default_is_cached_and_fl_workers_still_overrides() {
+        let machine = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        assert_eq!(default_workers(), machine);
+        assert_eq!(default_workers(), machine);
+        // The only test in this crate that touches `FL_WORKERS`.
+        let saved = std::env::var("FL_WORKERS").ok();
+        std::env::set_var("FL_WORKERS", (machine + 3).to_string());
+        assert_eq!(env_workers(), machine + 3);
+        std::env::set_var("FL_WORKERS", "0");
+        assert_eq!(env_workers(), machine);
+        std::env::remove_var("FL_WORKERS");
+        assert_eq!(env_workers(), machine);
+        if let Some(v) = saved {
+            std::env::set_var("FL_WORKERS", v);
         }
     }
 
