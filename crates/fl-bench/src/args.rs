@@ -55,6 +55,7 @@ impl ParsedArgs {
     }
 
     /// The `i`-th positional argument.
+    #[cfg(test)]
     pub fn positional(&self, i: usize) -> Option<&str> {
         self.positional.get(i).map(String::as_str)
     }

@@ -24,8 +24,8 @@ pub mod kernel_perf;
 pub mod serve_perf;
 
 use fl_ctrl::{
-    train_drl_parallel, train_drl_parallel_opt, ControllerRun, DrlController, EnvConfig, ObsMode,
-    ParallelConfig, ParallelTrainOutput, PolicyArch, RunOptions, TrainConfig, TrainOutput,
+    train_drl_parallel_opt, ControllerRun, DrlController, EnvConfig, ObsMode, ParallelConfig,
+    ParallelTrainOutput, PolicyArch, RunOptions, TrainConfig, TrainOutput,
 };
 use fl_net::stats::EmpiricalCdf;
 use fl_net::synth::Profile;
@@ -272,7 +272,7 @@ impl Scenario {
             }
         }
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xD51);
-        let out = train_drl_parallel(sys, config, par, &mut rng)
+        let out = train_drl_parallel_opt(sys, config, par, &mut rng, &RunOptions::default())
             .expect("training configuration is valid");
         if let Ok(json) = out.output.controller.to_json() {
             // Atomic write: a concurrent binary reading the cache sees

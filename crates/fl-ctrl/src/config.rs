@@ -361,7 +361,7 @@ mod tests {
             ]
         );
         for r in &runs {
-            assert_eq!(r.ledger.len(), 6);
+            assert_eq!(r.ledger.iterations().len(), 6);
             assert!(r.ledger.mean_cost().is_finite());
         }
     }

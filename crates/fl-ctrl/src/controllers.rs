@@ -121,6 +121,7 @@ impl StaticController {
     }
 
     /// The bandwidth estimates the plan is built on.
+    #[cfg(test)]
     pub fn estimates(&self) -> &[f64] {
         &self.estimates
     }
@@ -592,7 +593,7 @@ impl FrequencyController for DrlController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flenv::build_system;
+    use crate::flenv::build_system_with;
     use fl_net::synth::Profile;
     use fl_sim::FlConfig;
     use rand::SeedableRng;
@@ -600,12 +601,13 @@ mod tests {
 
     fn system(seed: u64, n: usize) -> FleetSim {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        build_system(
+        build_system_with(
             n,
             3,
             Profile::Walking4G,
             1200,
             FlConfig::default(),
+            &fl_sim::DeviceSampler::default(),
             &mut rng,
         )
         .unwrap()

@@ -167,7 +167,7 @@ impl ControllerSnapshot {
 mod tests {
     use super::*;
     use crate::controllers::FrequencyController;
-    use crate::flenv::build_system;
+    use crate::flenv::build_system_with;
     use fl_net::synth::Profile;
     use fl_rl::{GaussianPolicy, RunningNorm};
     use fl_sim::FlConfig;
@@ -187,12 +187,13 @@ mod tests {
 
     fn snapshot(seed: u64) -> (fl_sim::FleetSim, ControllerSnapshot) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let sys = build_system(
+        let sys = build_system_with(
             3,
             3,
             Profile::Walking4G,
             1200,
             FlConfig::default(),
+            &fl_sim::DeviceSampler::default(),
             &mut rng,
         )
         .unwrap();

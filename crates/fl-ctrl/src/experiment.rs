@@ -190,7 +190,7 @@ where
 mod tests {
     use super::*;
     use crate::controllers::{HeuristicController, MaxFreqController, StaticController};
-    use crate::flenv::build_system;
+    use crate::flenv::build_system_with;
     use fl_net::synth::Profile;
     use fl_sim::FlConfig;
     use rand::SeedableRng;
@@ -198,12 +198,13 @@ mod tests {
 
     fn system(seed: u64) -> FleetSim {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        build_system(
+        build_system_with(
             3,
             3,
             Profile::Walking4G,
             2400,
             FlConfig::default(),
+            &fl_sim::DeviceSampler::default(),
             &mut rng,
         )
         .unwrap()
@@ -214,7 +215,7 @@ mod tests {
         let sys = system(0);
         let mut ctrl = MaxFreqController;
         let run = run_controller(&sys, &mut ctrl, 25, 300.0).unwrap();
-        assert_eq!(run.ledger.len(), 25);
+        assert_eq!(run.ledger.iterations().len(), 25);
         assert_eq!(run.name, "maxfreq");
         let (c, t, e) = run.summary();
         assert!(c > 0.0 && t > 0.0 && e > 0.0);
@@ -246,7 +247,7 @@ mod tests {
         let names: Vec<&str> = runs.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, vec!["maxfreq", "static", "heuristic"]);
         for r in &runs {
-            assert_eq!(r.ledger.len(), 20);
+            assert_eq!(r.ledger.iterations().len(), 20);
         }
         // All start at the same time.
         for r in &runs {

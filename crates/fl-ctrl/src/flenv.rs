@@ -257,16 +257,19 @@ impl FlFreqEnv {
     }
 
     /// The wrapped system.
+    #[cfg(test)]
     pub fn system(&self) -> &FleetSim {
         &self.sys
     }
 
     /// Current simulation time (s).
+    #[cfg(test)]
     pub fn time(&self) -> f64 {
         self.t
     }
 
     /// Iteration index within the current episode.
+    #[cfg(test)]
     pub fn iteration(&self) -> usize {
         self.k
     }
@@ -277,13 +280,14 @@ impl FlFreqEnv {
     }
 
     /// The episode's fault plan, if one is active.
+    #[cfg(test)]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.plan.as_ref()
     }
 
-    /// Installs (or clears) an explicit fault plan — evaluation harnesses
-    /// use this to pin the exact same chaos schedule across controllers.
-    /// Training resets draw a fresh plan per episode instead.
+    /// Installs (or clears) an explicit fault plan, checked against the
+    /// system's device count.
+    #[cfg(test)]
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) -> Result<()> {
         if let Some(p) = &plan {
             if p.n_devices() != self.sys.num_devices() {
@@ -508,31 +512,11 @@ impl fl_rl::SnapshotEnv for FlFreqEnv {
     }
 }
 
-/// Builds a standard experiment system: `n_devices` sampled per the paper's
-/// Section V-A ranges, each assigned a random trace from `n_traces`
+/// Builds a standard experiment system: `n_devices` sampled by `sampler`
+/// (`DeviceSampler::default()` gives the paper's Section V-A ranges; a
+/// scenario may override them — see `fl-bench`'s calibration notes in
+/// DESIGN.md/EXPERIMENTS.md), each assigned a random trace from `n_traces`
 /// generated with the given profile.
-pub fn build_system(
-    n_devices: usize,
-    n_traces: usize,
-    profile: fl_net::synth::Profile,
-    trace_slots: usize,
-    config: fl_sim::FlConfig,
-    rng: &mut impl Rng,
-) -> Result<FleetSim> {
-    build_system_with(
-        n_devices,
-        n_traces,
-        profile,
-        trace_slots,
-        config,
-        &fl_sim::DeviceSampler::default(),
-        rng,
-    )
-}
-
-/// [`build_system`] with an explicit device sampler (used when a scenario
-/// overrides the default parameter ranges — see `fl-bench`'s calibration
-/// notes in DESIGN.md/EXPERIMENTS.md).
 pub fn build_system_with(
     n_devices: usize,
     n_traces: usize,
@@ -557,12 +541,13 @@ mod tests {
 
     fn env(seed: u64) -> FlFreqEnv {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let sys = build_system(
+        let sys = build_system_with(
             3,
             3,
             Profile::Walking4G,
             1200,
             fl_sim::FlConfig::default(),
+            &fl_sim::DeviceSampler::default(),
             &mut rng,
         )
         .unwrap();
@@ -636,12 +621,13 @@ mod tests {
     #[test]
     fn episode_terminates_at_length() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let sys = build_system(
+        let sys = build_system_with(
             2,
             2,
             Profile::Walking4G,
             1200,
             fl_sim::FlConfig::default(),
+            &fl_sim::DeviceSampler::default(),
             &mut rng,
         )
         .unwrap();
@@ -678,12 +664,13 @@ mod tests {
     #[test]
     fn fault_env_appends_participation_flags() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let sys = build_system(
+        let sys = build_system_with(
             3,
             3,
             Profile::Walking4G,
             1200,
             fl_sim::FlConfig::default(),
+            &fl_sim::DeviceSampler::default(),
             &mut rng,
         )
         .unwrap();
@@ -720,12 +707,13 @@ mod tests {
         // `faults: None`: same dims, same RNG draws, same trajectory.
         let build = |faults| {
             let mut rng = ChaCha8Rng::seed_from_u64(12);
-            let sys = build_system(
+            let sys = build_system_with(
                 2,
                 2,
                 Profile::Walking4G,
                 1200,
                 fl_sim::FlConfig::default(),
+                &fl_sim::DeviceSampler::default(),
                 &mut rng,
             )
             .unwrap();
@@ -776,12 +764,13 @@ mod tests {
         use fl_rl::SnapshotEnv;
         let build = || {
             let mut rng = ChaCha8Rng::seed_from_u64(20);
-            let sys = build_system(
+            let sys = build_system_with(
                 2,
                 2,
                 Profile::Walking4G,
                 1200,
                 fl_sim::FlConfig::default(),
+                &fl_sim::DeviceSampler::default(),
                 &mut rng,
             )
             .unwrap();
@@ -812,12 +801,13 @@ mod tests {
         }
         // Foreign shapes are rejected, not absorbed.
         let mut rng3 = ChaCha8Rng::seed_from_u64(21);
-        let sys3 = build_system(
+        let sys3 = build_system_with(
             3,
             2,
             Profile::Walking4G,
             1200,
             fl_sim::FlConfig::default(),
+            &fl_sim::DeviceSampler::default(),
             &mut rng3,
         )
         .unwrap();
@@ -832,12 +822,13 @@ mod tests {
         // linearly in N instead).
         for (n, seed) in [(3usize, 30u64), (7, 31)] {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let sys = build_system(
+            let sys = build_system_with(
                 n,
                 3,
                 Profile::Walking4G,
                 1200,
                 fl_sim::FlConfig::default(),
+                &fl_sim::DeviceSampler::default(),
                 &mut rng,
             )
             .unwrap();
@@ -858,12 +849,13 @@ mod tests {
     #[test]
     fn pooled_obs_with_faults_carries_survival_fraction() {
         let mut rng = ChaCha8Rng::seed_from_u64(32);
-        let sys = build_system(
+        let sys = build_system_with(
             4,
             3,
             Profile::Walking4G,
             1200,
             fl_sim::FlConfig::default(),
+            &fl_sim::DeviceSampler::default(),
             &mut rng,
         )
         .unwrap();

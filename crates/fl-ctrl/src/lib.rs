@@ -81,8 +81,8 @@ pub use experiment::{
     run_parallel_sweep, ControllerRun, SweepReport,
 };
 pub use flenv::{
-    build_system, build_system_with, policy_obs_dim, policy_observation, squash_actions,
-    squash_to_freq, EnvConfig, FlFreqEnv, ObsMode, Participation,
+    build_system_with, policy_obs_dim, policy_observation, squash_actions, squash_to_freq,
+    EnvConfig, FlFreqEnv, ObsMode, Participation,
 };
 pub use online::OnlineDrlController;
 pub use solver::{model_cost, optimize_frequencies, FreqPlan, SolverParams};
@@ -90,9 +90,8 @@ pub use supervise::{
     DivergenceCause, Intervention, RecoveryAction, SupervisorPolicy, SupervisorState, TrainError,
 };
 pub use train::{
-    fleet_statics, train_drl, train_drl_parallel, train_drl_parallel_opt, CheckpointOptions,
-    EpisodeStats, ParallelConfig, ParallelTrainOutput, PolicyArch, RunOptions, TrainConfig,
-    TrainOutput,
+    fleet_statics, train_drl, train_drl_parallel_opt, CheckpointOptions, EpisodeStats,
+    ParallelConfig, ParallelTrainOutput, PolicyArch, RunOptions, TrainConfig, TrainOutput,
 };
 
 /// Convenience alias for results in this crate.

@@ -70,11 +70,6 @@ impl OnlineDrlController {
     pub fn updates(&self) -> usize {
         self.updates
     }
-
-    /// The wrapped agent (e.g. to export the adapted policy).
-    pub fn agent(&self) -> &PpoAgent {
-        &self.agent
-    }
 }
 
 impl FrequencyController for OnlineDrlController {
@@ -137,19 +132,20 @@ impl FrequencyController for OnlineDrlController {
 mod tests {
     use super::*;
     use crate::experiment::{run_controller, run_controller_faulty};
-    use crate::flenv::build_system;
+    use crate::flenv::build_system_with;
     use fl_net::synth::Profile;
     use fl_rl::PpoConfig;
     use fl_sim::FlConfig;
 
     fn setup() -> (FleetSim, OnlineDrlController) {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let sys = build_system(
+        let sys = build_system_with(
             2,
             2,
             Profile::Walking4G,
             2400,
             FlConfig::default(),
+            &fl_sim::DeviceSampler::default(),
             &mut rng,
         )
         .unwrap();
@@ -189,7 +185,7 @@ mod tests {
         let (sys, mut ctrl) = setup();
         // 50 iterations with a 16-transition buffer: at least two updates.
         let run = run_controller(&sys, &mut ctrl, 50, 300.0).unwrap();
-        assert_eq!(run.ledger.len(), 50);
+        assert_eq!(run.ledger.iterations().len(), 50);
         assert_eq!(run.name, "drl-online");
         assert!(ctrl.updates() >= 2, "updates: {}", ctrl.updates());
         assert!(run.ledger.mean_cost().is_finite());
@@ -201,12 +197,13 @@ mod tests {
     #[test]
     fn pooled_fault_aware_broadcast_agent_learns_online() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let sys = build_system(
+        let sys = build_system_with(
             4,
             2,
             Profile::Walking4G,
             2400,
             FlConfig::default(),
+            &fl_sim::DeviceSampler::default(),
             &mut rng,
         )
         .unwrap();

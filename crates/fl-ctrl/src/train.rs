@@ -280,8 +280,8 @@ pub struct CheckpointOptions {
 }
 
 /// Optional behaviors of a training run. [`RunOptions::default`] is inert:
-/// [`train_drl_parallel_opt`] with defaults is bit-identical to
-/// [`train_drl_parallel`].
+/// [`train_drl_parallel_opt`] with defaults runs plain Algorithm 1, with
+/// no checkpoint, supervisor or hook.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunOptions {
     /// Crash-safe checkpointing (and resume) of the complete training
@@ -547,7 +547,7 @@ fn save_checkpoint(
     Ok(())
 }
 
-/// Rollout settings for [`train_drl_parallel`].
+/// Rollout settings for [`train_drl_parallel_opt`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParallelConfig {
     /// Independent environment instances stepped concurrently. This is a
@@ -586,7 +586,7 @@ impl ParallelConfig {
     }
 }
 
-/// Result of [`train_drl_parallel`]: the training output plus the worker
+/// Result of [`train_drl_parallel_opt`]: the training output plus the worker
 /// telemetry of every collection round.
 #[derive(Debug)]
 pub struct ParallelTrainOutput {
@@ -612,17 +612,9 @@ pub struct ParallelTrainOutput {
 /// `config.env.episode_len` steps (the environment's fixed horizon). The
 /// total is rounded up to a whole number of rounds, then truncated to
 /// `config.episodes` in the stats.
-pub fn train_drl_parallel(
-    sys: &FleetSim,
-    config: &TrainConfig,
-    par: &ParallelConfig,
-    rng: &mut ChaCha8Rng,
-) -> Result<ParallelTrainOutput> {
-    train_drl_parallel_opt(sys, config, par, rng, &RunOptions::default())
-}
-
-/// [`train_drl_parallel`] with crash-safe checkpoint/resume and optional
-/// self-healing supervision — the one Algorithm-1 driver.
+///
+/// `opts` adds crash-safe checkpoint/resume and optional self-healing
+/// supervision; this is the one Algorithm-1 driver.
 ///
 /// # Resume determinism contract
 ///
@@ -825,7 +817,7 @@ pub fn train_drl_parallel_opt(
 mod tests {
     use super::*;
     use crate::controllers::FrequencyController;
-    use crate::flenv::build_system;
+    use crate::flenv::build_system_with;
     use fl_net::synth::Profile;
     use fl_sim::FlConfig;
     use rand::SeedableRng;
@@ -855,12 +847,13 @@ mod tests {
 
     fn system(seed: u64) -> FleetSim {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        build_system(
+        build_system_with(
             2,
             2,
             Profile::Walking4G,
             2400,
             FlConfig::default(),
+            &fl_sim::DeviceSampler::default(),
             &mut rng,
         )
         .unwrap()
@@ -1004,12 +997,13 @@ mod tests {
         // statics rebind; a size-mismatched decide without the rebind is
         // rejected rather than silently truncated.
         let mut rng5 = ChaCha8Rng::seed_from_u64(15);
-        let big = build_system(
+        let big = build_system_with(
             5,
             3,
             Profile::Walking4G,
             2400,
             FlConfig::default(),
+            &fl_sim::DeviceSampler::default(),
             &mut rng5,
         )
         .unwrap();

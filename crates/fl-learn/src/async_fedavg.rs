@@ -106,11 +106,13 @@ impl AsyncFedAvg {
     }
 
     /// The current global model.
+    #[cfg(test)]
     pub fn global(&self) -> &Mlp {
         &self.global
     }
 
     /// Server version (number of updates applied).
+    #[cfg(test)]
     pub fn version(&self) -> usize {
         self.version
     }

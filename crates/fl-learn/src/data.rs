@@ -38,11 +38,6 @@ impl LabeledData {
         self.len() == 0
     }
 
-    /// Feature dimensionality.
-    pub fn dim(&self) -> usize {
-        self.x.cols()
-    }
-
     /// Fraction of positive labels.
     pub fn positive_fraction(&self) -> f64 {
         if self.is_empty() {
@@ -56,13 +51,6 @@ impl LabeledData {
         let x = self.x.gather_rows(indices).map_err(LearnError::from)?;
         let y = self.y.gather_rows(indices).map_err(LearnError::from)?;
         LabeledData::new(x, y)
-    }
-
-    /// A shuffled copy.
-    pub fn shuffled(&self, rng: &mut impl Rng) -> Result<LabeledData> {
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(rng);
-        self.subset(&idx)
     }
 }
 
@@ -92,61 +80,6 @@ pub fn gaussian_blobs(
         yd.push(label as f64);
     }
     LabeledData::new(Matrix::from_vec(n, dim, xd)?, Matrix::from_vec(n, 1, yd)?)
-}
-
-/// `k` Gaussian blobs arranged on a circle of radius `separation` in the
-/// first two dimensions (extra dimensions are pure noise). Labels are the
-/// class indices `0..k` stored in the `y` column — pair with
-/// [`crate::Objective::Multiclass`].
-pub fn gaussian_blobs_multiclass(
-    n: usize,
-    dim: usize,
-    k: usize,
-    separation: f64,
-    rng: &mut impl Rng,
-) -> Result<LabeledData> {
-    if n == 0 || dim < 2 || k < 2 {
-        return Err(LearnError::InvalidArgument(
-            "need n >= 1, dim >= 2, k >= 2".to_string(),
-        ));
-    }
-    let mut xd = Vec::with_capacity(n * dim);
-    let mut yd = Vec::with_capacity(n);
-    for i in 0..n {
-        let label = i % k;
-        let angle = std::f64::consts::TAU * label as f64 / k as f64;
-        let (cx, cy) = (separation * angle.cos(), separation * angle.sin());
-        xd.push(cx + gaussian(rng));
-        xd.push(cy + gaussian(rng));
-        for _ in 2..dim {
-            xd.push(gaussian(rng));
-        }
-        yd.push(label as f64);
-    }
-    LabeledData::new(Matrix::from_vec(n, dim, xd)?, Matrix::from_vec(n, 1, yd)?)
-}
-
-/// Concentric rings (label = inner vs outer radius band) in 2-D — a
-/// non-linearly-separable task that forces the hidden layer to matter.
-pub fn rings(n: usize, rng: &mut impl Rng) -> Result<LabeledData> {
-    if n == 0 {
-        return Err(LearnError::InvalidArgument("n must be nonzero".to_string()));
-    }
-    let mut xd = Vec::with_capacity(n * 2);
-    let mut yd = Vec::with_capacity(n);
-    for i in 0..n {
-        let label = i % 2;
-        let r = if label == 1 {
-            2.0 + 0.3 * gaussian(rng)
-        } else {
-            0.7 + 0.3 * gaussian(rng)
-        };
-        let theta = rng.gen_range(0.0..std::f64::consts::TAU);
-        xd.push(r * theta.cos());
-        xd.push(r * theta.sin());
-        yd.push(label as f64);
-    }
-    LabeledData::new(Matrix::from_vec(n, 2, xd)?, Matrix::from_vec(n, 1, yd)?)
 }
 
 /// Splits a dataset across `n_parts` devices with tunable label skew.
@@ -256,7 +189,7 @@ mod tests {
         let y = Matrix::zeros(3, 1);
         let d = LabeledData::new(x, y).unwrap();
         assert_eq!(d.len(), 3);
-        assert_eq!(d.dim(), 2);
+        assert_eq!(d.x.cols(), 2);
     }
 
     #[test]
@@ -280,29 +213,15 @@ mod tests {
     }
 
     #[test]
-    fn rings_radii_differ_by_class() {
-        let d = rings(400, &mut rng(1)).unwrap();
-        let mut inner = 0.0;
-        let mut outer = 0.0;
-        for i in 0..d.len() {
-            let r = (d.x.get(i, 0).powi(2) + d.x.get(i, 1).powi(2)).sqrt();
-            if d.y.get(i, 0) > 0.5 {
-                outer += r;
-            } else {
-                inner += r;
-            }
-        }
-        assert!(outer / 200.0 > 1.5);
-        assert!(inner / 200.0 < 1.2);
-    }
-
-    #[test]
     fn subset_and_shuffle() {
         let d = gaussian_blobs(10, 2, 4.0, &mut rng(2)).unwrap();
         let s = d.subset(&[0, 2, 4]).unwrap();
         assert_eq!(s.len(), 3);
         assert_eq!(s.x.row(1), d.x.row(2));
-        let sh = d.shuffled(&mut rng(3)).unwrap();
+        // A subset over a shuffled index order is a shuffled copy.
+        let mut idx: Vec<usize> = (0..d.len()).collect();
+        idx.shuffle(&mut rng(3));
+        let sh = d.subset(&idx).unwrap();
         assert_eq!(sh.len(), d.len());
         assert_ne!(sh.x, d.x); // overwhelmingly likely
     }

@@ -9,15 +9,6 @@ pub enum LearnError {
     InvalidArgument(String),
     /// A numeric failure surfaced from the NN substrate.
     Nn(fl_nn::NnError),
-    /// The loss threshold was not reached within the round budget.
-    DidNotConverge {
-        /// Rounds executed.
-        rounds: usize,
-        /// Final global loss.
-        final_loss: f64,
-        /// Target threshold ε.
-        epsilon: f64,
-    },
 }
 
 impl fmt::Display for LearnError {
@@ -25,14 +16,6 @@ impl fmt::Display for LearnError {
         match self {
             LearnError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             LearnError::Nn(e) => write!(f, "nn error: {e}"),
-            LearnError::DidNotConverge {
-                rounds,
-                final_loss,
-                epsilon,
-            } => write!(
-                f,
-                "did not reach F(w) < {epsilon} within {rounds} rounds (final loss {final_loss})"
-            ),
         }
     }
 }
@@ -58,14 +41,8 @@ mod tests {
 
     #[test]
     fn display() {
-        let e = LearnError::DidNotConverge {
-            rounds: 10,
-            final_loss: 0.5,
-            epsilon: 0.1,
-        };
-        let s = e.to_string();
-        assert!(s.contains("10"));
-        assert!(s.contains("0.5"));
+        let e = LearnError::InvalidArgument("skew must be in [0, 1]".into());
+        assert_eq!(e.to_string(), "invalid argument: skew must be in [0, 1]");
         let n: LearnError = fl_nn::NnError::InvalidArgument("z".into()).into();
         assert!(n.to_string().contains("z"));
     }

@@ -96,11 +96,6 @@ impl FedAvg {
         &self.global
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &FedAvgConfig {
-        &self.config
-    }
-
     /// Runs one federated iteration over the device shards and returns the
     /// post-aggregation metrics.
     pub fn round(&mut self, shards: &[LabeledData], rng: &mut ChaCha8Rng) -> Result<RoundReport> {
@@ -147,62 +142,6 @@ impl FedAvg {
             accuracy: self.global_accuracy(shards)?,
             ..report
         })
-    }
-
-    /// One round driven by per-device survival flags, as produced by the
-    /// fault-injected simulator (`fl-sim`'s `IterationReport::survivor_flags`):
-    /// exactly the devices whose flag is `true` contribute updates. Unlike
-    /// [`FedAvg::round_with_participants`], an *empty* surviving set is not an
-    /// error but a **no-op round**: every upload was lost, so the global model
-    /// is left unchanged and `mean_local_loss` reports `0.0` (no local
-    /// training counted toward the average).
-    pub fn round_with_survivors(
-        &mut self,
-        shards: &[LabeledData],
-        survived: &[bool],
-        rng: &mut ChaCha8Rng,
-    ) -> Result<RoundReport> {
-        if survived.len() != shards.len() {
-            return Err(LearnError::InvalidArgument(format!(
-                "{} survival flags for {} shards",
-                survived.len(),
-                shards.len()
-            )));
-        }
-        let participants: Vec<usize> = survived
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.then_some(i))
-            .collect();
-        if participants.is_empty() {
-            return Ok(RoundReport {
-                global_loss: self.global_loss(shards)?,
-                mean_local_loss: 0.0,
-                accuracy: self.global_accuracy(shards)?,
-            });
-        }
-        self.round_with_participants(shards, &participants, rng)
-    }
-
-    /// Samples `count` participants uniformly without replacement and runs
-    /// a round with them.
-    pub fn round_with_sampling(
-        &mut self,
-        shards: &[LabeledData],
-        count: usize,
-        rng: &mut ChaCha8Rng,
-    ) -> Result<RoundReport> {
-        if count == 0 || count > shards.len() {
-            return Err(LearnError::InvalidArgument(format!(
-                "cannot sample {count} of {} devices",
-                shards.len()
-            )));
-        }
-        use rand::seq::SliceRandom;
-        let mut idx: Vec<usize> = (0..shards.len()).collect();
-        idx.shuffle(rng);
-        idx.truncate(count);
-        self.round_with_participants(shards, &idx, rng)
     }
 
     fn round_inner(&mut self, shards: &[LabeledData], rng: &mut ChaCha8Rng) -> Result<RoundReport> {
@@ -290,37 +229,6 @@ impl FedAvg {
         }
         Ok(acc / total)
     }
-
-    /// Constraint (10): trains until `F(ω) < ε` or the round budget runs
-    /// out (error in the latter case, reporting the final loss). Returns
-    /// the per-round reports.
-    pub fn train_until(
-        &mut self,
-        shards: &[LabeledData],
-        epsilon: f64,
-        max_rounds: usize,
-        rng: &mut ChaCha8Rng,
-    ) -> Result<Vec<RoundReport>> {
-        if !(epsilon > 0.0) {
-            return Err(LearnError::InvalidArgument(
-                "epsilon must be positive".to_string(),
-            ));
-        }
-        let mut reports = Vec::new();
-        for _ in 0..max_rounds {
-            let r = self.round(shards, rng)?;
-            let done = r.global_loss < epsilon;
-            reports.push(r);
-            if done {
-                return Ok(reports);
-            }
-        }
-        Err(LearnError::DidNotConverge {
-            rounds: max_rounds,
-            final_loss: reports.last().map(|r| r.global_loss).unwrap_or(f64::NAN),
-            epsilon,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -355,8 +263,12 @@ mod tests {
     fn converges_on_separable_data() {
         let (mut fed, shards) = setup(2, 300, 3, 0.0);
         let mut r = rng(3);
-        let reports = fed.train_until(&shards, 0.1, 30, &mut r).unwrap();
-        assert!(reports.last().unwrap().global_loss < 0.1);
+        // Constraint (10): rounds until F(w) < 0.1, within 30.
+        let mut reports: Vec<RoundReport> = Vec::new();
+        while !reports.last().is_some_and(|r| r.global_loss < 0.1) {
+            assert!(reports.len() < 30, "F(w) < 0.1 not reached in 30 rounds");
+            reports.push(fed.round(&shards, &mut r).unwrap());
+        }
         assert!(reports.last().unwrap().accuracy > 0.95);
         // Loss is (weakly) trending down: final < first.
         assert!(reports.last().unwrap().global_loss < reports[0].global_loss);
@@ -475,54 +387,19 @@ mod tests {
     }
 
     #[test]
-    fn survivor_round_matches_participant_round() {
-        let (fed_template, shards) = setup(24, 300, 3, 0.0);
-        let mut by_flags = fed_template.clone();
-        let mut by_index = fed_template.clone();
-        let mut r1 = rng(25);
-        let mut r2 = rng(25);
-        let a = by_flags
-            .round_with_survivors(&shards, &[true, false, true], &mut r1)
-            .unwrap();
-        let b = by_index
-            .round_with_participants(&shards, &[0, 2], &mut r2)
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(
-            by_flags.global().export_params(),
-            by_index.global().export_params()
-        );
-        // Arity mismatch is rejected.
-        assert!(by_flags
-            .round_with_survivors(&shards, &[true, false], &mut r1)
-            .is_err());
-    }
-
-    #[test]
-    fn all_dropped_round_is_a_noop() {
-        let (mut fed, shards) = setup(26, 200, 3, 0.0);
-        let before = fed.global().export_params();
-        let loss_before = fed.global_loss(&shards).unwrap();
-        let mut r = rng(27);
-        let report = fed
-            .round_with_survivors(&shards, &[false, false, false], &mut r)
-            .unwrap();
-        assert_eq!(fed.global().export_params(), before);
-        assert_eq!(report.global_loss, loss_before);
-        assert_eq!(report.mean_local_loss, 0.0);
-    }
-
-    #[test]
     fn sampled_participation_converges() {
+        use rand::seq::SliceRandom;
         let (mut fed, shards) = setup(22, 400, 5, 0.0);
         let mut r = rng(23);
         for _ in 0..20 {
-            fed.round_with_sampling(&shards, 2, &mut r).unwrap();
+            // Client selection: 2 of the 5 devices, uniformly at random.
+            let mut idx: Vec<usize> = (0..shards.len()).collect();
+            idx.shuffle(&mut r);
+            idx.truncate(2);
+            fed.round_with_participants(&shards, &idx, &mut r).unwrap();
         }
         let acc = fed.global_accuracy(&shards).unwrap();
         assert!(acc > 0.9, "accuracy with 2/5 participation: {acc}");
-        assert!(fed.round_with_sampling(&shards, 0, &mut r).is_err());
-        assert!(fed.round_with_sampling(&shards, 6, &mut r).is_err());
     }
 
     #[test]
@@ -532,17 +409,7 @@ mod tests {
         assert!(fed.round(&[], &mut r).is_err());
         let empty = shards[0].subset(&[]).unwrap();
         assert!(fed.round(&[empty], &mut r).is_err());
-        assert!(fed.train_until(&shards, 0.0, 5, &mut r).is_err());
         assert!(fed.global_loss(&[]).is_err());
-    }
-
-    #[test]
-    fn train_until_reports_non_convergence() {
-        let (mut fed, shards) = setup(11, 100, 2, 0.0);
-        let mut r = rng(12);
-        // Impossible threshold within 1 round.
-        let err = fed.train_until(&shards, 1e-12, 1, &mut r).unwrap_err();
-        assert!(matches!(err, LearnError::DidNotConverge { rounds: 1, .. }));
     }
 
     #[test]

@@ -1,21 +1,10 @@
 //! Local training on one device's shard.
 
 use crate::{LabeledData, LearnError, Result};
-use fl_nn::{loss, Adam, Matrix, Mlp, Optimizer};
+use fl_nn::{loss, Adam, Mlp, Optimizer};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// What the federated model is learning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Objective {
-    /// Binary classification: sigmoid head, binary cross-entropy, labels
-    /// in `{0, 1}` stored directly in the `y` column.
-    Binary,
-    /// `k`-way classification: linear (logit) head of width `k`, softmax
-    /// cross-entropy, class indices `0..k` stored in the `y` column.
-    Multiclass(usize),
-}
 
 /// Configuration of one device's local optimization.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -26,8 +15,6 @@ pub struct LocalTrainer {
     pub batch_size: usize,
     /// Adam learning rate.
     pub lr: f64,
-    /// Loss/label convention.
-    pub objective: Objective,
 }
 
 impl Default for LocalTrainer {
@@ -36,7 +23,6 @@ impl Default for LocalTrainer {
             epochs: 1,
             batch_size: 32,
             lr: 0.01,
-            objective: Objective::Binary,
         }
     }
 }
@@ -55,61 +41,19 @@ impl LocalTrainer {
                 self.lr
             )));
         }
-        if let Objective::Multiclass(k) = self.objective {
-            if k < 2 {
-                return Err(LearnError::InvalidArgument(
-                    "multiclass needs at least 2 classes".to_string(),
-                ));
-            }
-        }
         Ok(())
     }
 
-    /// Checks the model head matches the objective.
+    /// Checks the model has the one-column head the binary cross-entropy
+    /// objective needs.
     fn check_model(&self, model: &Mlp) -> Result<()> {
-        let want = match self.objective {
-            Objective::Binary => 1,
-            Objective::Multiclass(k) => k,
-        };
-        if model.out_dim() != want {
+        if model.out_dim() != 1 {
             return Err(LearnError::InvalidArgument(format!(
-                "model head width {} does not match objective ({want} expected)",
+                "model head width {} does not match the binary objective (1 expected)",
                 model.out_dim()
             )));
         }
         Ok(())
-    }
-
-    /// Converts a label batch into loss targets.
-    fn targets(&self, yb: &Matrix) -> Result<Matrix> {
-        match self.objective {
-            Objective::Binary => Ok(yb.clone()),
-            Objective::Multiclass(k) => {
-                let labels: Vec<usize> = yb
-                    .data()
-                    .iter()
-                    .map(|&v| {
-                        let c = v.round();
-                        if c < 0.0 || c >= k as f64 || (v - c).abs() > 1e-9 {
-                            Err(LearnError::InvalidArgument(format!(
-                                "label {v} invalid for {k}-way classification"
-                            )))
-                        } else {
-                            Ok(c as usize)
-                        }
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(loss::one_hot(&labels, k)?)
-            }
-        }
-    }
-
-    /// Loss + gradient for the objective on a prediction batch.
-    fn loss_and_grad(&self, pred: &Matrix, targets: &Matrix) -> Result<(f64, Matrix)> {
-        match self.objective {
-            Objective::Binary => Ok(loss::binary_cross_entropy(pred, targets)?),
-            Objective::Multiclass(_) => Ok(loss::softmax_cross_entropy(pred, targets)?),
-        }
     }
 
     /// Runs `τ` epochs of minibatch Adam on `model`. Returns the mean
@@ -133,9 +77,8 @@ impl LocalTrainer {
             for chunk in indices.chunks(bs) {
                 let xb = data.x.gather_rows(chunk)?;
                 let yb = data.y.gather_rows(chunk)?;
-                let targets = self.targets(&yb)?;
                 let pred = model.try_forward(&xb)?;
-                let (l, dl) = self.loss_and_grad(&pred, &targets)?;
+                let (l, dl) = loss::binary_cross_entropy(&pred, &yb)?;
                 model.zero_grad();
                 model.backward(dl)?;
                 opt.step(model);
@@ -157,13 +100,11 @@ impl LocalTrainer {
             ));
         }
         let pred = model.infer(&data.x)?;
-        let targets = self.targets(&data.y)?;
-        let (l, _) = self.loss_and_grad(&pred, &targets)?;
+        let (l, _) = loss::binary_cross_entropy(&pred, &data.y)?;
         Ok(l)
     }
 
-    /// Classification accuracy of `model` on a shard (0.5 threshold for
-    /// binary, argmax for multiclass).
+    /// Classification accuracy of `model` on a shard (0.5 threshold).
     pub fn evaluate_accuracy(&self, model: &Mlp, data: &LabeledData) -> Result<f64> {
         self.check_model(model)?;
         if data.is_empty() {
@@ -172,26 +113,12 @@ impl LocalTrainer {
             ));
         }
         let pred = model.infer(&data.x)?;
-        let correct = match self.objective {
-            Objective::Binary => pred
-                .data()
-                .iter()
-                .zip(data.y.data())
-                .filter(|(&p, &y)| (p >= 0.5) == (y >= 0.5))
-                .count(),
-            Objective::Multiclass(_) => (0..pred.rows())
-                .filter(|&i| {
-                    let row = pred.row(i);
-                    let argmax = row
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                        .map(|(j, _)| j)
-                        .expect("non-empty row");
-                    argmax as f64 == data.y.get(i, 0).round()
-                })
-                .count(),
-        };
+        let correct = pred
+            .data()
+            .iter()
+            .zip(data.y.data())
+            .filter(|(&p, &y)| (p >= 0.5) == (y >= 0.5))
+            .count();
         Ok(correct as f64 / data.len() as f64)
     }
 
@@ -205,33 +132,12 @@ impl LocalTrainer {
             rng,
         )?)
     }
-
-    /// The default `k`-way model: `dim → 16 → 16 → k`, tanh hidden, linear
-    /// logit head (pair with [`Objective::Multiclass`]).
-    pub fn multiclass_model(dim: usize, classes: usize, rng: &mut impl Rng) -> Result<Mlp> {
-        if classes < 2 {
-            return Err(LearnError::InvalidArgument(
-                "multiclass needs at least 2 classes".to_string(),
-            ));
-        }
-        Ok(Mlp::try_new(
-            &[dim, 16, 16, classes],
-            fl_nn::Activation::Tanh,
-            fl_nn::Activation::Identity,
-            rng,
-        )?)
-    }
-
-    /// Helper exposing the per-sample prediction column (binary models).
-    pub fn predict(model: &Mlp, x: &Matrix) -> Result<Vec<f64>> {
-        Ok(model.infer(x)?.col(0))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::{gaussian_blobs, gaussian_blobs_multiclass};
+    use crate::data::gaussian_blobs;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -248,11 +154,6 @@ mod tests {
         assert!(t.validate().is_err());
         let t = LocalTrainer {
             batch_size: 0,
-            ..Default::default()
-        };
-        assert!(t.validate().is_err());
-        let t = LocalTrainer {
-            objective: Objective::Multiclass(1),
             ..Default::default()
         };
         assert!(t.validate().is_err());
@@ -276,47 +177,21 @@ mod tests {
     }
 
     #[test]
-    fn multiclass_training_works() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let data = gaussian_blobs_multiclass(300, 2, 4, 6.0, &mut rng).unwrap();
-        let mut model = LocalTrainer::multiclass_model(2, 4, &mut rng).unwrap();
-        let trainer = LocalTrainer {
-            epochs: 15,
-            objective: Objective::Multiclass(4),
-            ..LocalTrainer::default()
-        };
-        let before = trainer.evaluate_loss(&model, &data).unwrap();
-        trainer.train(&mut model, &data, &mut rng).unwrap();
-        let after = trainer.evaluate_loss(&model, &data).unwrap();
-        assert!(after < before * 0.5, "before={before}, after={after}");
-        let acc = trainer.evaluate_accuracy(&model, &data).unwrap();
-        assert!(acc > 0.9, "accuracy={acc}");
-    }
-
-    #[test]
     fn objective_model_mismatch_rejected() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let data = gaussian_blobs(8, 2, 5.0, &mut rng).unwrap();
-        let mut binary_model = LocalTrainer::default_model(2, &mut rng).unwrap();
-        let multi = LocalTrainer {
-            objective: Objective::Multiclass(3),
-            ..LocalTrainer::default()
-        };
-        assert!(multi.train(&mut binary_model, &data, &mut rng).is_err());
-        assert!(multi.evaluate_loss(&binary_model, &data).is_err());
-        assert!(multi.evaluate_accuracy(&binary_model, &data).is_err());
-    }
-
-    #[test]
-    fn multiclass_rejects_out_of_range_labels() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let data = gaussian_blobs_multiclass(20, 2, 4, 4.0, &mut rng).unwrap();
-        let mut model = LocalTrainer::multiclass_model(2, 3, &mut rng).unwrap();
-        let trainer = LocalTrainer {
-            objective: Objective::Multiclass(3), // data has labels 0..4
-            ..LocalTrainer::default()
-        };
-        assert!(trainer.train(&mut model, &data, &mut rng).is_err());
+        // A three-logit head does not fit the binary objective.
+        let mut wide_model = Mlp::try_new(
+            &[2, 16, 16, 3],
+            fl_nn::Activation::Tanh,
+            fl_nn::Activation::Identity,
+            &mut rng,
+        )
+        .unwrap();
+        let trainer = LocalTrainer::default();
+        assert!(trainer.train(&mut wide_model, &data, &mut rng).is_err());
+        assert!(trainer.evaluate_loss(&wide_model, &data).is_err());
+        assert!(trainer.evaluate_accuracy(&wide_model, &data).is_err());
     }
 
     #[test]

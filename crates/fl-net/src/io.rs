@@ -93,6 +93,7 @@ pub fn to_json(trace: &BandwidthTrace) -> Result<String> {
 }
 
 /// Parses a trace from serde JSON.
+#[cfg(test)]
 pub fn from_json(text: &str) -> Result<BandwidthTrace> {
     serde_json::from_str(text).map_err(|e| NetError::Parse(format!("json decode: {e}")))
 }

@@ -43,13 +43,16 @@ pub fn autocorrelation(xs: &[f64], lag: usize) -> f64 {
 }
 
 /// Percentile via linear interpolation on the sorted data, `q` in `[0, 100]`.
-/// Returns `None` for an empty slice or out-of-range `q`.
+/// Returns `None` for an empty slice, a slice holding a NaN, or an
+/// out-of-range `q`.
 pub fn percentile(xs: &[f64], q: f64) -> Option<f64> {
-    if xs.is_empty() || !(0.0..=100.0).contains(&q) {
+    if xs.is_empty() || xs.iter().any(|x| x.is_nan()) || !(0.0..=100.0).contains(&q) {
         return None;
     }
     let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN data"));
+    // No NaN is left, so `partial_cmp` is total here; it keeps the order
+    // (and the sign of a zero result) the sort has always produced.
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let pos = q / 100.0 * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
@@ -75,11 +78,13 @@ impl EmpiricalCdf {
     }
 
     /// Number of retained samples.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.sorted.len()
     }
 
     /// True when no samples were retained.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
     }
@@ -92,11 +97,6 @@ impl EmpiricalCdf {
         // partition_point gives the count of samples <= x.
         let count = self.sorted.partition_point(|&v| v <= x);
         count as f64 / self.sorted.len() as f64
-    }
-
-    /// Inverse CDF (quantile), `p` in `[0, 1]`.
-    pub fn quantile(&self, p: f64) -> Option<f64> {
-        percentile(&self.sorted, p * 100.0)
     }
 
     /// `(x, P(X <= x))` pairs at `n` evenly spaced x-values spanning the
@@ -139,7 +139,8 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Summarizes a sample; returns `None` when empty.
+    /// Summarizes a sample; returns `None` when empty or when a sample is
+    /// NaN.
     pub fn of(xs: &[f64]) -> Option<Summary> {
         if xs.is_empty() {
             return None;
@@ -199,6 +200,13 @@ mod tests {
         assert_eq!(percentile(&xs, 100.0), Some(3.0));
         assert_eq!(percentile(&xs, 50.0), Some(2.0));
         assert_eq!(percentile(&xs, 101.0), None);
+    }
+
+    #[test]
+    fn nan_sample_has_no_percentile_or_summary() {
+        assert_eq!(percentile(&[f64::NAN, 1.0], 50.0), None);
+        assert_eq!(percentile(&[1.0, 2.0, f64::NAN], 0.0), None);
+        assert_eq!(Summary::of(&[f64::NAN, 1.0]), None);
     }
 
     #[test]

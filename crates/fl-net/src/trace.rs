@@ -93,6 +93,7 @@ impl BandwidthTrace {
     }
 
     /// Whether this trace wraps.
+    #[cfg(test)]
     pub fn is_cyclic(&self) -> bool {
         self.cyclic
     }
@@ -312,6 +313,7 @@ impl BandwidthTrace {
     /// integral). The last bucket may cover less source data and averages
     /// what exists. Used to align external CSV traces with a simulation's
     /// slot grid.
+    #[cfg(test)]
     pub fn resample(&self, new_slot: f64) -> Result<BandwidthTrace> {
         if !(new_slot > 0.0) || !new_slot.is_finite() {
             return Err(NetError::InvalidArgument(format!(
@@ -338,6 +340,7 @@ impl BandwidthTrace {
 
     /// Extracts the sub-trace covering `[t0, t1)`, snapped outward to slot
     /// boundaries. The result is non-cyclic.
+    #[cfg(test)]
     pub fn slice(&self, t0: f64, t1: f64) -> Result<BandwidthTrace> {
         if !(t0 >= 0.0) || t1 <= t0 || t1 > self.duration() + 1e-9 {
             return Err(NetError::InvalidArgument(format!(
@@ -352,6 +355,7 @@ impl BandwidthTrace {
 
     /// Appends another trace (same slot duration) after this one. The
     /// result inherits this trace's cyclic flag.
+    #[cfg(test)]
     pub fn concat(&self, other: &BandwidthTrace) -> Result<BandwidthTrace> {
         if (self.slot_duration - other.slot_duration).abs() > 1e-12 {
             return Err(NetError::InvalidArgument(format!(
@@ -367,6 +371,7 @@ impl BandwidthTrace {
     }
 
     /// Returns the trace scaled by a constant factor (e.g. unit changes).
+    #[cfg(test)]
     pub fn scaled(&self, factor: f64) -> Result<BandwidthTrace> {
         if !(factor > 0.0) || !factor.is_finite() {
             return Err(NetError::InvalidArgument(format!(

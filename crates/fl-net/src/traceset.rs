@@ -67,6 +67,7 @@ impl TraceSet {
     }
 
     /// Generates a mixed pool cycling through several profiles.
+    #[cfg(test)]
     pub fn from_profiles(
         profiles: &[Profile],
         count: usize,

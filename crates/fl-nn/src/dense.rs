@@ -80,13 +80,8 @@ impl Dense {
     }
 
     /// Forward pass that caches activations for a later [`Dense::backward`].
-    pub fn forward(&mut self, x: &Matrix) -> Result<Matrix> {
-        self.forward_owned(x.clone())
-    }
-
-    /// [`Dense::forward`] taking the input by value: the batch is cached
-    /// without an extra clone. This is the path [`crate::Mlp`] threads its
-    /// hidden activations through.
+    /// The input is taken by value, so the batch is cached without an extra
+    /// clone; [`crate::Mlp`] threads its hidden activations through here.
     pub fn forward_owned(&mut self, x: Matrix) -> Result<Matrix> {
         let act = self.activation;
         let (out, cached) = if act.derivative_takes_output() {
@@ -252,7 +247,7 @@ mod tests {
     fn forward_shape() {
         let mut l = layer(Activation::Tanh);
         let x = Matrix::zeros(5, 3);
-        let y = l.forward(&x).unwrap();
+        let y = l.forward_owned(x.clone()).unwrap();
         assert_eq!(y.shape(), (5, 2));
     }
 
@@ -260,7 +255,7 @@ mod tests {
     fn infer_matches_forward() {
         let mut l = layer(Activation::Sigmoid);
         let x = Matrix::from_fn(4, 3, |r, c| (r + c) as f64 * 0.1);
-        let y1 = l.forward(&x).unwrap();
+        let y1 = l.forward_owned(x.clone()).unwrap();
         let y2 = l.infer(&x).unwrap();
         assert_eq!(y1, y2);
     }
@@ -275,7 +270,7 @@ mod tests {
     fn backward_shape_mismatch_errors() {
         let mut l = layer(Activation::Identity);
         let x = Matrix::zeros(4, 3);
-        l.forward(&x).unwrap();
+        l.forward_owned(x.clone()).unwrap();
         assert!(l.backward(Matrix::zeros(3, 2)).is_err());
     }
 
@@ -286,7 +281,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut l = Dense::new(2, 2, Activation::Identity, Init::XavierUniform, &mut rng);
         let x = Matrix::from_vec(1, 2, vec![1.0, -2.0]).unwrap();
-        l.forward(&x).unwrap();
+        l.forward_owned(x.clone()).unwrap();
         let dy = Matrix::from_vec(1, 2, vec![0.5, 1.5]).unwrap();
         let dx = l.backward(dy.clone()).unwrap();
         let expected_dx = dy.matmul_nt(l.weights()).unwrap();
@@ -302,10 +297,10 @@ mod tests {
         let mut l = layer(Activation::Identity);
         let x = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f64 * 0.1);
         let dy = Matrix::filled(2, 2, 1.0);
-        l.forward(&x).unwrap();
+        l.forward_owned(x.clone()).unwrap();
         l.backward(dy.clone()).unwrap();
         let g1 = l.grad_sq_sum();
-        l.forward(&x).unwrap();
+        l.forward_owned(x.clone()).unwrap();
         l.backward(dy.clone()).unwrap();
         let g2 = l.grad_sq_sum();
         // Doubled gradients => 4x squared sum.
@@ -425,7 +420,7 @@ mod tests {
             l.import_params(&[1.0, 0.0]).unwrap();
             for z in zs {
                 l.zero_grad();
-                let y = l.forward(&Matrix::row_vector(&[z])).unwrap();
+                let y = l.forward_owned(Matrix::row_vector(&[z])).unwrap();
                 assert!(
                     same_bits(y.get(0, 0), act.apply(z)),
                     "{act:?} forward at {z}"
@@ -448,7 +443,7 @@ mod tests {
         l.visit_params(&mut |_, g| zeros.push(g));
         assert_eq!(zeros, vec![0.0; l.num_params()]);
         let x = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f64 - 2.5);
-        l.forward(&x).unwrap();
+        l.forward_owned(x.clone()).unwrap();
         l.backward(Matrix::from_fn(2, 2, |r, c| (r + 2 * c) as f64 + 0.5))
             .unwrap();
         let mut want = l.grad_w.as_ref().unwrap().data().to_vec();
@@ -475,7 +470,7 @@ mod tests {
     fn scale_grads_scales() {
         let mut l = layer(Activation::Identity);
         let x = Matrix::filled(1, 3, 1.0);
-        l.forward(&x).unwrap();
+        l.forward_owned(x.clone()).unwrap();
         l.backward(Matrix::filled(1, 2, 1.0)).unwrap();
         let before = l.grad_sq_sum();
         l.scale_grads(0.5);

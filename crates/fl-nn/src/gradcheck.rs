@@ -76,13 +76,13 @@ pub fn grad_check_mse(net: &mut Mlp, x: &Matrix, y: &Matrix, eps: f64) -> Result
     let xc = x.clone();
     let yc = y.clone();
     let loss_fn = move |n: &mut Mlp| {
-        let pred = n.forward(&xc);
+        let pred = n.try_forward(&xc).unwrap();
         crate::loss::mse(&pred, &yc).expect("shapes fixed").0
     };
     let xb = x.clone();
     let yb = y.clone();
     let backward_fn = move |n: &mut Mlp| {
-        let pred = n.forward(&xb);
+        let pred = n.try_forward(&xb).unwrap();
         let (_, dl) = crate::loss::mse(&pred, &yb).expect("shapes fixed");
         n.zero_grad();
         n.backward(dl).expect("backward after forward");
@@ -107,7 +107,8 @@ mod tests {
     #[test]
     fn tanh_network_gradients_correct() {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let mut net = Mlp::new(&[3, 8, 2], Activation::Tanh, Activation::Identity, &mut rng);
+        let mut net =
+            Mlp::try_new(&[3, 8, 2], Activation::Tanh, Activation::Identity, &mut rng).unwrap();
         let (x, y) = data(&mut rng, 5, 3, 2);
         let report = grad_check_mse(&mut net, &x, &y, 1e-5).unwrap();
         assert!(report.passes(1e-5), "{report:?}");
@@ -117,12 +118,13 @@ mod tests {
     #[test]
     fn sigmoid_network_gradients_correct() {
         let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let mut net = Mlp::new(
+        let mut net = Mlp::try_new(
             &[2, 6, 6, 1],
             Activation::Sigmoid,
             Activation::Identity,
             &mut rng,
-        );
+        )
+        .unwrap();
         let (x, y) = data(&mut rng, 4, 2, 1);
         let report = grad_check_mse(&mut net, &x, &y, 1e-5).unwrap();
         assert!(report.passes(1e-5), "{report:?}");
@@ -131,7 +133,8 @@ mod tests {
     #[test]
     fn softplus_output_gradients_correct() {
         let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let mut net = Mlp::new(&[2, 5, 1], Activation::Tanh, Activation::Softplus, &mut rng);
+        let mut net =
+            Mlp::try_new(&[2, 5, 1], Activation::Tanh, Activation::Softplus, &mut rng).unwrap();
         let (x, y) = data(&mut rng, 4, 2, 1);
         let report = grad_check_mse(&mut net, &x, &y, 1e-5).unwrap();
         assert!(report.passes(1e-5), "{report:?}");
@@ -142,12 +145,13 @@ mod tests {
         // Use a fixed-seed net + data; probability of sitting exactly on a
         // ReLU kink is zero for this seed (verified by the assertion).
         let mut rng = ChaCha8Rng::seed_from_u64(24);
-        let mut net = Mlp::new(
+        let mut net = Mlp::try_new(
             &[3, 10, 2],
             Activation::Relu,
             Activation::Identity,
             &mut rng,
-        );
+        )
+        .unwrap();
         let (x, y) = data(&mut rng, 6, 3, 2);
         let report = grad_check_mse(&mut net, &x, &y, 1e-6).unwrap();
         assert!(report.passes(1e-4), "{report:?}");
@@ -161,7 +165,7 @@ mod tests {
     fn fused_matmul_add_bias_backward_matches_fd() {
         for (seed, act) in [(31u64, Activation::Identity), (32, Activation::Tanh)] {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut net = Mlp::new(&[4, 3], act, act, &mut rng);
+            let mut net = Mlp::try_new(&[4, 3], act, act, &mut rng).unwrap();
             let (x, y) = data(&mut rng, 6, 4, 3);
             let report = grad_check_mse(&mut net, &x, &y, 1e-5).unwrap();
             assert!(report.passes(1e-5), "{act:?}: {report:?}");
@@ -176,12 +180,13 @@ mod tests {
     #[test]
     fn fused_path_with_exact_zero_activations_gradients_correct() {
         let mut rng = ChaCha8Rng::seed_from_u64(33);
-        let mut net = Mlp::new(
+        let mut net = Mlp::try_new(
             &[3, 12, 12, 2],
             Activation::Relu,
             Activation::Identity,
             &mut rng,
-        );
+        )
+        .unwrap();
         let (x, y) = data(&mut rng, 5, 3, 2);
         let report = grad_check_mse(&mut net, &x, &y, 1e-6).unwrap();
         assert!(report.passes(1e-4), "{report:?}");
@@ -197,14 +202,15 @@ mod tests {
         let grads_under = |kind| {
             crate::set_kernel_kind(kind);
             let mut rng = ChaCha8Rng::seed_from_u64(34);
-            let mut net = Mlp::new(
+            let mut net = Mlp::try_new(
                 &[4, 16, 3],
                 Activation::Relu,
                 Activation::Identity,
                 &mut rng,
-            );
+            )
+            .unwrap();
             let (x, y) = data(&mut rng, 8, 4, 3);
-            let pred = net.forward(&x);
+            let pred = net.try_forward(&x).unwrap();
             let (_, dl) = crate::loss::mse(&pred, &y).unwrap();
             net.zero_grad();
             net.backward(dl).unwrap();
@@ -221,7 +227,8 @@ mod tests {
     #[test]
     fn grad_check_restores_params() {
         let mut rng = ChaCha8Rng::seed_from_u64(25);
-        let mut net = Mlp::new(&[2, 4, 1], Activation::Tanh, Activation::Identity, &mut rng);
+        let mut net =
+            Mlp::try_new(&[2, 4, 1], Activation::Tanh, Activation::Identity, &mut rng).unwrap();
         let before = net.export_params();
         let (x, y) = data(&mut rng, 3, 2, 1);
         grad_check_mse(&mut net, &x, &y, 1e-5).unwrap();

@@ -11,9 +11,10 @@
 //!   hidden activation of the PPO nets),
 //! * [`Mlp`] — a stack of dense layers behind a simple train/infer API,
 //!   whose inference runs tile by tile over a [`TiledInput`],
-//! * [`Adam`], [`Sgd`], [`RmsProp`] — optimizers over a flat parameter view,
-//! * [`grad_check`](gradcheck::grad_check) — finite-difference gradient
-//!   verification used by the test-suite to validate every backward pass.
+//! * [`Adam`] — the optimizer over a flat parameter view.
+//!
+//! A finite-difference gradient check (`gradcheck`, compiled for tests
+//! only) validates every backward pass.
 //!
 //! The crate deliberately supports exactly what the paper's PPO agent and
 //! FedAvg workloads need (small MLPs, batched forward/backward, Adam) rather
@@ -28,12 +29,12 @@
 //!
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
 //! // 2-in, 16-hidden, 1-out regression network.
-//! let mut net = Mlp::new(&[2, 16, 1], Activation::Tanh, Activation::Identity, &mut rng);
+//! let mut net = Mlp::try_new(&[2, 16, 1], Activation::Tanh, Activation::Identity, &mut rng).unwrap();
 //! let mut opt = Adam::new(net.num_params(), 1e-2);
 //! let x = fl_nn::Matrix::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]).unwrap();
 //! let y = fl_nn::Matrix::from_vec(4, 1, vec![0., 1., 1., 0.]).unwrap();
 //! for _ in 0..200 {
-//!     let pred = net.forward(&x);
+//!     let pred = net.try_forward(&x).unwrap();
 //!     let (l, dl) = loss::mse(&pred, &y).unwrap();
 //!     net.zero_grad();
 //!     net.backward(dl).unwrap();
@@ -55,7 +56,8 @@
 mod activation;
 mod dense;
 mod error;
-pub mod gradcheck;
+#[cfg(test)]
+mod gradcheck;
 mod init;
 mod kernels;
 pub mod loss;
@@ -74,7 +76,7 @@ pub use kernels::set_kernel_kind;
 pub use kernels::{kernel_kind, tanh_slice, KernelKind};
 pub use matrix::Matrix;
 pub use mlp::Mlp;
-pub use optim::{Adam, OptimState, Optimizer, RmsProp, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use tanh::tanh;
 pub use tiled::TiledInput;
 

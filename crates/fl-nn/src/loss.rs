@@ -23,6 +23,7 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> Result<(f64, Matrix)> {
 
 /// Huber (smooth-L1) loss with threshold `delta`, averaged over elements.
 /// Robust alternative used for the critic in ablations.
+#[cfg(test)]
 pub fn huber(pred: &Matrix, target: &Matrix, delta: f64) -> Result<(f64, Matrix)> {
     if pred.shape() != target.shape() {
         return Err(NnError::ShapeMismatch {
@@ -75,6 +76,7 @@ pub fn binary_cross_entropy(pred: &Matrix, target: &Matrix) -> Result<(f64, Matr
 }
 
 /// Row-wise softmax (numerically stable via max subtraction).
+#[cfg(test)]
 pub fn softmax_rows(logits: &Matrix) -> Matrix {
     let mut out = logits.clone();
     for r in 0..out.rows() {
@@ -98,6 +100,7 @@ pub fn softmax_rows(logits: &Matrix) -> Matrix {
 /// Returns the loss and its gradient with respect to the *logits* —
 /// `(softmax(z) − y) / n_rows` — so a multi-class head is just a linear
 /// output layer plus this loss. Used by the multi-class FedAvg tasks.
+#[cfg(test)]
 pub fn softmax_cross_entropy(logits: &Matrix, one_hot: &Matrix) -> Result<(f64, Matrix)> {
     if logits.shape() != one_hot.shape() {
         return Err(NnError::ShapeMismatch {
@@ -128,6 +131,7 @@ pub fn softmax_cross_entropy(logits: &Matrix, one_hot: &Matrix) -> Result<(f64, 
 }
 
 /// Builds a one-hot matrix from class indices (`labels[i] < num_classes`).
+#[cfg(test)]
 pub fn one_hot(labels: &[usize], num_classes: usize) -> Result<Matrix> {
     if num_classes == 0 {
         return Err(NnError::InvalidArgument(

@@ -83,36 +83,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Stacks equal-width rows into an `n x width` matrix — the batched
-    /// inference entry point (a decision server assembles concurrent
-    /// observations into one forward batch this way).
-    ///
-    /// Returns [`NnError::InvalidArgument`] when `rows` is empty or the rows
-    /// have differing widths.
-    pub fn from_rows(rows: &[&[f64]]) -> Result<Self> {
-        let Some(first) = rows.first() else {
-            return Err(NnError::InvalidArgument(
-                "from_rows needs at least one row".to_string(),
-            ));
-        };
-        let cols = first.len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != cols {
-                return Err(NnError::InvalidArgument(format!(
-                    "row {i} has width {}, expected {cols}",
-                    row.len()
-                )));
-            }
-            data.extend_from_slice(row);
-        }
-        Ok(Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        })
-    }
-
     /// Creates a 1 x n row vector from a slice.
     pub fn row_vector(v: &[f64]) -> Self {
         Matrix {
@@ -120,11 +90,6 @@ impl Matrix {
             cols: v.len(),
             data: v.to_vec(),
         }
-    }
-
-    /// The identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
     }
 
     /// Number of rows.
@@ -172,6 +137,7 @@ impl Matrix {
 
     /// Element setter. Panics on out-of-range indices.
     #[inline]
+    #[cfg(test)]
     pub fn set(&mut self, r: usize, c: usize, v: f64) {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
         self.data[r * self.cols + c] = v;
@@ -189,29 +155,6 @@ impl Matrix {
     pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
         assert!(r < self.rows, "row index out of bounds");
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Copy of column `c`.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        assert!(c < self.cols, "column index out of bounds");
-        (0..self.rows)
-            .map(|r| self.data[r * self.cols + c])
-            .collect()
-    }
-
-    /// Returns a new matrix holding rows `[start, end)` of `self`.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Result<Matrix> {
-        if start > end || end > self.rows {
-            return Err(NnError::InvalidArgument(format!(
-                "row slice {start}..{end} out of bounds for {} rows",
-                self.rows
-            )));
-        }
-        Ok(Matrix {
-            rows: end - start,
-            cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols].to_vec(),
-        })
     }
 
     /// Returns a new matrix holding the given rows of `self`, in order.
@@ -264,6 +207,7 @@ impl Matrix {
     }
 
     /// Elementwise sum, returning a new matrix.
+    #[cfg(test)]
     pub fn add(&self, other: &Matrix) -> Result<Matrix> {
         self.check_same_shape(other, "add")?;
         let data = self
@@ -296,6 +240,7 @@ impl Matrix {
     }
 
     /// Elementwise (Hadamard) product, returning a new matrix.
+    #[cfg(test)]
     pub fn hadamard(&self, other: &Matrix) -> Result<Matrix> {
         self.check_same_shape(other, "hadamard")?;
         let data = self
@@ -361,6 +306,7 @@ impl Matrix {
     }
 
     /// Returns a new matrix with `f` applied to every element.
+    #[cfg(test)]
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
         Matrix {
             rows: self.rows,
@@ -383,6 +329,7 @@ impl Matrix {
     /// `chunks_exact_mut`, eliminating the per-row slice-index arithmetic;
     /// per element the op is unchanged (`a += b`), so the result is
     /// bit-identical to the reference form.
+    #[cfg(any(test, feature = "reference-kernels"))]
     pub fn add_row_broadcast(&mut self, bias: &[f64]) -> Result<()> {
         if bias.len() != self.cols {
             return Err(NnError::ShapeMismatch {
@@ -423,11 +370,13 @@ impl Matrix {
     }
 
     /// Sum of all elements.
+    #[cfg(test)]
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
     }
 
     /// Mean of all elements (0.0 for an empty matrix).
+    #[cfg(test)]
     pub fn mean(&self) -> f64 {
         if self.data.is_empty() {
             0.0
@@ -455,11 +404,13 @@ impl Matrix {
     }
 
     /// Maximum absolute element (0.0 for an empty matrix).
+    #[cfg(test)]
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &a| m.max(a.abs()))
     }
 
     /// True when every element is finite.
+    #[cfg(test)]
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|a| a.is_finite())
     }
@@ -562,12 +513,6 @@ impl Matrix {
     #[cfg(any(test, feature = "reference-kernels"))]
     pub fn parallel_dispatch(m: usize, k: usize, n: usize) -> bool {
         par_dispatch(m, k, n)
-    }
-
-    /// Reference matmul (the original streaming kernel).
-    #[cfg(any(test, feature = "reference-kernels"))]
-    pub fn naive_matmul(&self, other: &Matrix) -> Result<Matrix> {
-        self.matmul_impl(other, KernelKind::Naive, true)
     }
 
     fn matmul_impl(&self, other: &Matrix, kind: KernelKind, parallel: bool) -> Result<Matrix> {
@@ -936,7 +881,7 @@ mod tests {
     #[test]
     fn identity_matmul_is_noop() {
         let a = Matrix::from_fn(3, 3, |r, c| (r * 3 + c) as f64);
-        let i = Matrix::identity(3);
+        let i = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
         assert_eq!(a.matmul(&i).unwrap(), a);
         assert_eq!(i.matmul(&a).unwrap(), a);
     }
@@ -1064,12 +1009,12 @@ mod tests {
     #[test]
     fn slice_and_gather_rows() {
         let m = Matrix::from_fn(4, 2, |r, c| (r * 2 + c) as f64);
-        let s = m.slice_rows(1, 3).unwrap();
+        let s = m.gather_rows(&[1, 2]).unwrap();
         assert_eq!(s.data(), &[2., 3., 4., 5.]);
         let g = m.gather_rows(&[3, 0]).unwrap();
         assert_eq!(g.data(), &[6., 7., 0., 1.]);
         assert!(m.gather_rows(&[4]).is_err());
-        assert!(m.slice_rows(3, 5).is_err());
+        assert!(m.gather_rows(&[3, 4]).is_err());
     }
 
     #[test]

@@ -17,21 +17,8 @@ pub struct Mlp {
 impl Mlp {
     /// Builds an MLP with the given layer `sizes` (input, hidden..., output),
     /// using Xavier initialization for hidden layers and a down-scaled final
-    /// layer — the standard recipe for stable early PPO updates.
-    ///
-    /// Panics if `sizes` has fewer than two entries; use [`Mlp::try_new`]
-    /// for a fallible variant.
-    pub fn new(
-        sizes: &[usize],
-        hidden_activation: Activation,
-        output_activation: Activation,
-        rng: &mut impl Rng,
-    ) -> Self {
-        Self::try_new(sizes, hidden_activation, output_activation, rng)
-            .expect("Mlp::new requires at least [in, out] sizes with nonzero dims")
-    }
-
-    /// Fallible constructor; see [`Mlp::new`].
+    /// layer — the standard recipe for stable early PPO updates. Fails if
+    /// `sizes` has fewer than two entries or a zero entry.
     pub fn try_new(
         sizes: &[usize],
         hidden_activation: Activation,
@@ -85,13 +72,6 @@ impl Mlp {
     /// Total trainable parameter count.
     pub fn num_params(&self) -> usize {
         self.layers.iter().map(Dense::num_params).sum()
-    }
-
-    /// Training forward pass; caches per-layer activations for `backward`.
-    /// Panics only on internal shape corruption (constructor-validated).
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.try_forward(x)
-            .expect("MLP forward failed: input width must equal in_dim")
     }
 
     /// Fallible training forward pass. The input is cloned once into the
@@ -220,12 +200,13 @@ mod tests {
 
     fn net() -> Mlp {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        Mlp::new(
+        Mlp::try_new(
             &[3, 8, 8, 2],
             Activation::Tanh,
             Activation::Identity,
             &mut rng,
         )
+        .unwrap()
     }
 
     #[test]
@@ -249,7 +230,7 @@ mod tests {
     fn forward_and_infer_agree() {
         let mut n = net();
         let x = Matrix::from_fn(5, 3, |r, c| (r as f64 - c as f64) * 0.3);
-        assert_eq!(n.forward(&x), n.infer(&x).unwrap());
+        assert_eq!(n.try_forward(&x).unwrap(), n.infer(&x).unwrap());
     }
 
     #[test]
@@ -267,7 +248,7 @@ mod tests {
     fn backward_produces_finite_grads() {
         let mut n = net();
         let x = Matrix::from_fn(4, 3, |r, c| (r + c) as f64 * 0.1);
-        let y = n.forward(&x);
+        let y = n.try_forward(&x).unwrap();
         n.zero_grad();
         let d = n.backward(Matrix::filled(y.rows(), y.cols(), 1.0)).unwrap();
         assert_eq!(d.shape(), (4, 3));
@@ -279,7 +260,7 @@ mod tests {
     fn clip_grad_norm_enforced() {
         let mut n = net();
         let x = Matrix::filled(8, 3, 1.0);
-        let y = n.forward(&x);
+        let y = n.try_forward(&x).unwrap();
         n.zero_grad();
         n.backward(Matrix::filled(y.rows(), y.cols(), 100.0))
             .unwrap();
@@ -291,8 +272,9 @@ mod tests {
     #[test]
     fn lerp_full_copies() {
         let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let a = Mlp::new(&[2, 4, 1], Activation::Tanh, Activation::Identity, &mut rng);
-        let mut b = Mlp::new(&[2, 4, 1], Activation::Tanh, Activation::Identity, &mut rng);
+        let a = Mlp::try_new(&[2, 4, 1], Activation::Tanh, Activation::Identity, &mut rng).unwrap();
+        let mut b =
+            Mlp::try_new(&[2, 4, 1], Activation::Tanh, Activation::Identity, &mut rng).unwrap();
         b.lerp_from(&a, 1.0).unwrap();
         assert_eq!(a.export_params(), b.export_params());
     }
@@ -300,8 +282,9 @@ mod tests {
     #[test]
     fn lerp_rejects_architecture_mismatch() {
         let mut rng = ChaCha8Rng::seed_from_u64(78);
-        let a = Mlp::new(&[2, 4, 1], Activation::Tanh, Activation::Identity, &mut rng);
-        let mut b = Mlp::new(&[2, 5, 1], Activation::Tanh, Activation::Identity, &mut rng);
+        let a = Mlp::try_new(&[2, 4, 1], Activation::Tanh, Activation::Identity, &mut rng).unwrap();
+        let mut b =
+            Mlp::try_new(&[2, 5, 1], Activation::Tanh, Activation::Identity, &mut rng).unwrap();
         assert!(b.lerp_from(&a, 0.5).is_err());
     }
 
@@ -309,8 +292,8 @@ mod tests {
     fn deterministic_construction() {
         let mut r1 = ChaCha8Rng::seed_from_u64(5);
         let mut r2 = ChaCha8Rng::seed_from_u64(5);
-        let a = Mlp::new(&[4, 6, 2], Activation::Relu, Activation::Identity, &mut r1);
-        let b = Mlp::new(&[4, 6, 2], Activation::Relu, Activation::Identity, &mut r2);
+        let a = Mlp::try_new(&[4, 6, 2], Activation::Relu, Activation::Identity, &mut r1).unwrap();
+        let b = Mlp::try_new(&[4, 6, 2], Activation::Relu, Activation::Identity, &mut r2).unwrap();
         assert_eq!(a.export_params(), b.export_params());
     }
 }

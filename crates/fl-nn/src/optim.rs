@@ -4,7 +4,9 @@
 //! flat vectors whose layout matches [`Mlp::visit_params`] order, so one
 //! optimizer instance is bound to one network architecture.
 
-use crate::{Mlp, NnError};
+use crate::Mlp;
+#[cfg(test)]
+use crate::NnError;
 use serde::{Deserialize, Serialize};
 
 /// A portable dump of an optimizer's mutable state, captured by
@@ -12,6 +14,7 @@ use serde::{Deserialize, Serialize};
 /// `restore`. Checkpoint/resume must carry these moments: restarting Adam
 /// with zeroed moments silently changes the next update step even when the
 /// network parameters are bit-identical.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OptimState {
     /// Current learning rate (schedules mutate it).
@@ -42,6 +45,7 @@ pub trait Optimizer {
 }
 
 /// Stochastic gradient descent with optional classical momentum.
+#[cfg(test)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Sgd {
     lr: f64,
@@ -49,6 +53,7 @@ pub struct Sgd {
     velocity: Vec<f64>,
 }
 
+#[cfg(test)]
 impl Sgd {
     /// Plain SGD.
     pub fn new(num_params: usize, lr: f64) -> Self {
@@ -90,6 +95,7 @@ impl Sgd {
     }
 }
 
+#[cfg(test)]
 impl Optimizer for Sgd {
     fn step(&mut self, net: &mut Mlp) {
         let (lr, mu) = (self.lr, self.momentum);
@@ -146,12 +152,14 @@ impl Adam {
     }
 
     /// Number of updates applied so far.
+    #[cfg(test)]
     pub fn steps(&self) -> u64 {
         self.t
     }
 
     /// Captures the mutable state (step count and both moment buffers) for
     /// checkpointing.
+    #[cfg(test)]
     pub fn state(&self) -> OptimState {
         OptimState {
             lr: self.lr,
@@ -163,6 +171,7 @@ impl Adam {
 
     /// Restores state captured by [`Adam::state`]. Fails if the buffer
     /// lengths do not match this optimizer's parameter count.
+    #[cfg(test)]
     pub fn restore(&mut self, state: &OptimState) -> Result<(), NnError> {
         if state.first_moment.len() != self.m.len() || state.second_moment.len() != self.v.len() {
             return Err(NnError::InvalidArgument(format!(
@@ -208,7 +217,8 @@ impl Optimizer for Adam {
     }
 }
 
-/// RMSProp — kept for ablations against Adam on the PPO update.
+/// RMSProp, compiled for the optimizer tests only.
+#[cfg(test)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RmsProp {
     lr: f64,
@@ -217,6 +227,7 @@ pub struct RmsProp {
     sq: Vec<f64>,
 }
 
+#[cfg(test)]
 impl RmsProp {
     /// RMSProp with the given decay (typically 0.99).
     pub fn new(num_params: usize, lr: f64, decay: f64) -> Self {
@@ -229,6 +240,7 @@ impl RmsProp {
     }
 }
 
+#[cfg(test)]
 impl Optimizer for RmsProp {
     fn step(&mut self, net: &mut Mlp) {
         let (lr, d, eps) = (self.lr, self.decay, self.eps);
@@ -261,11 +273,11 @@ mod tests {
     fn train_linear(opt: &mut dyn Optimizer, net: &mut Mlp, steps: usize) -> (f64, f64) {
         let x = Matrix::from_vec(8, 1, (0..8).map(|i| i as f64 / 8.0).collect()).unwrap();
         let y = x.map(|v| 2.0 * v - 1.0);
-        let pred0 = net.forward(&x);
+        let pred0 = net.try_forward(&x).unwrap();
         let (first, _) = loss::mse(&pred0, &y).unwrap();
         let mut last = first;
         for _ in 0..steps {
-            let pred = net.forward(&x);
+            let pred = net.try_forward(&x).unwrap();
             let (l, dl) = loss::mse(&pred, &y).unwrap();
             net.zero_grad();
             net.backward(dl).unwrap();
@@ -277,12 +289,13 @@ mod tests {
 
     fn fresh_net(seed: u64) -> Mlp {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        Mlp::new(
+        Mlp::try_new(
             &[1, 16, 1],
             Activation::Tanh,
             Activation::Identity,
             &mut rng,
         )
+        .unwrap()
     }
 
     #[test]
@@ -346,7 +359,7 @@ mod tests {
         let y = x.map(|v| 2.0 * v - 1.0);
         for _ in 0..10 {
             for (n, o) in [(&mut net, &mut opt), (&mut net2, &mut twin)] {
-                let pred = n.forward(&x);
+                let pred = n.try_forward(&x).unwrap();
                 let (_, dl) = loss::mse(&pred, &y).unwrap();
                 n.zero_grad();
                 n.backward(dl).unwrap();

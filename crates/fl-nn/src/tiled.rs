@@ -96,7 +96,7 @@ impl Mlp {
     /// its widest layer alone would, by the matmul dispatch threshold
     /// (`FL_WORKERS` is read only then). A batch whose layers each stay on
     /// the calling thread as plain matmuls stays there as a whole.
-    /// Every output element runs the op sequence of [`Mlp::forward`] on its
+    /// Every output element runs the op sequence of [`Mlp::try_forward`] on its
     /// own row, so neither the tile size, nor the partition, nor the layout
     /// of `input` changes a bit.
     pub fn infer_tiled(&self, input: &TiledInput<'_>) -> Result<Matrix> {

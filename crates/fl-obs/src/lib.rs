@@ -50,7 +50,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -267,6 +267,7 @@ impl Gauge {
     }
 
     /// Current value (0.0 when disabled).
+    #[cfg(test)]
     pub fn value(&self) -> f64 {
         self.0
             .as_ref()
@@ -469,6 +470,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Total observation count.
+    #[cfg(test)]
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
     }
@@ -590,7 +592,6 @@ struct Inner {
     histograms: Mutex<BTreeMap<String, Arc<HistInner>>>,
     phases: Mutex<BTreeMap<String, PhaseStat>>,
     sink: Mutex<SinkState>,
-    mirror_stderr: AtomicBool,
 }
 
 impl Inner {
@@ -604,7 +605,6 @@ impl Inner {
                 path,
                 ..Default::default()
             }),
-            mirror_stderr: AtomicBool::new(true),
         }
     }
 }
@@ -680,14 +680,6 @@ impl Recorder {
         self.0.is_some()
     }
 
-    /// Controls whether [`Recorder::note`] also prints to stderr
-    /// (default: on, preserving the "diagnostics go to stderr" contract).
-    pub fn set_stderr_mirror(&self, on: bool) {
-        if let Some(inner) = &self.0 {
-            inner.mirror_stderr.store(on, Ordering::Relaxed);
-        }
-    }
-
     /// Registers (or fetches) a counter. The returned handle is the hot
     /// path: one atomic add per increment, no lock.
     pub fn counter(&self, name: &str) -> Counter {
@@ -755,22 +747,16 @@ impl Recorder {
         }
     }
 
-    /// Routes a human-readable diagnostic: always printed to stderr when
-    /// the recorder is disabled or its stderr mirror is on (the default),
-    /// and additionally recorded as a physical `note` event when enabled.
+    /// Routes a human-readable diagnostic: always printed to stderr, and
+    /// additionally recorded as a physical `note` event when enabled.
     /// This is the single funnel for what used to be ad-hoc `eprintln!`s.
     pub fn note(&self, msg: &str) {
-        match &self.0 {
-            None => eprintln!("{msg}"),
-            Some(inner) => {
-                if inner.mirror_stderr.load(Ordering::Relaxed) {
-                    eprintln!("{msg}");
-                }
-                inner
-                    .sink
-                    .lock()
-                    .insert(Event::phys("note").s("msg", msg).into_value());
-            }
+        eprintln!("{msg}");
+        if let Some(inner) = &self.0 {
+            inner
+                .sink
+                .lock()
+                .insert(Event::phys("note").s("msg", msg).into_value());
         }
     }
 
@@ -815,17 +801,6 @@ impl Recorder {
             gauges,
             histograms,
         }
-    }
-
-    /// Current value of a counter by name (0 if absent or disabled).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.0.as_ref().map_or(0, |inner| {
-            inner
-                .counters
-                .lock()
-                .get(name)
-                .map_or(0, |c| c.load(Ordering::Relaxed))
-        })
     }
 
     /// Serializes the buffered events to JSONL text (empty when
@@ -1107,7 +1082,7 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(a.value(), 3);
-        assert_eq!(rec.counter_value("hits"), 3);
+        assert_eq!(rec.counter("hits").value(), 3);
         let g = rec.gauge("lr");
         g.set(0.125);
         assert_eq!(g.value(), 0.125);

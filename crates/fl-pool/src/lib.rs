@@ -66,19 +66,13 @@ pub struct PoolRun<R> {
 
 impl<R> PoolRun<R> {
     /// Total busy time across workers (the serial-equivalent cost).
+    #[cfg(test)]
     pub fn total_busy(&self) -> Duration {
         self.workers.iter().map(|w| w.busy).sum()
     }
 
-    /// The physical `pool_round` observability event for this batch:
-    /// worker count, per-worker task/steal telemetry, and wall/busy
-    /// timings. `label` names the workload (e.g. `"rollout"`,
-    /// `"seed_sweep"`).
-    pub fn obs_event(&self, label: &str) -> fl_obs::Event {
-        round_event(label, &self.workers, self.wall)
-    }
-
     /// One-line human summary of the batch ("4 workers, 2.13x speedup").
+    #[cfg(test)]
     pub fn timing_line(&self) -> String {
         let wall = self.wall.as_secs_f64();
         let busy = self.total_busy().as_secs_f64();
@@ -108,10 +102,9 @@ impl<R> PoolRun<R> {
 }
 
 /// Builds the physical `pool_round` observability event from worker
-/// telemetry and a wall-clock duration. [`PoolRun::obs_event`] delegates
-/// here; callers that aggregate stats across many pool rounds (the batched
-/// rollout runs one `env.step` fan-out per step) emit the same event shape
-/// without holding a `PoolRun`.
+/// telemetry and a wall-clock duration. Callers that aggregate stats
+/// across many pool rounds (the batched rollout runs one `env.step`
+/// fan-out per step) emit it without holding a `PoolRun`.
 pub fn round_event(label: &str, workers: &[WorkerStats], wall: Duration) -> fl_obs::Event {
     let per_worker = serde_json::Value::Array(workers.iter().map(WorkerStats::obs_value).collect());
     let busy: Duration = workers.iter().map(|w| w.busy).sum();
@@ -306,7 +299,8 @@ pub mod tree {
     //! Shards that cover whole groups (see [`aligned_shard_ranges`]) can
     //! compute level-1 partials in parallel and hand them to
     //! [`reduce_group_partials`]; the result is bitwise identical to
-    //! [`tree_sum_arity`] on the flat input — and, for at most
+    //! the tree sum of the flat input (the test-only `tree_sum_arity`
+    //! reference) — and, for at most
     //! [`TREE_ARITY`] elements, identical to a plain left-to-right
     //! `Iterator::sum`, which is why the fleet engine agrees bit-for-bit
     //! with the small-N per-device simulator.
@@ -328,6 +322,7 @@ pub mod tree {
     ///
     /// # Panics
     /// Panics if `arity < 2` (a 1-ary "tree" would never terminate).
+    #[cfg(test)]
     pub fn tree_sum_arity(values: &[f64], arity: usize) -> f64 {
         reduce_group_partials(group_partials(values, arity), arity)
     }
@@ -337,6 +332,7 @@ pub mod tree {
     /// Shards whose ranges are group-aligned compute these independently;
     /// concatenating the per-shard outputs in shard order reproduces the
     /// single-threaded level-1 array bit-for-bit.
+    #[cfg(test)]
     pub fn group_partials(values: &[f64], arity: usize) -> Vec<f64> {
         assert!(arity >= 2, "reduction tree arity must be at least 2");
         values.chunks(arity).map(|c| c.iter().sum()).collect()

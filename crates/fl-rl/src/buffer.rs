@@ -50,6 +50,7 @@ impl RolloutBuffer {
     }
 
     /// Capacity `|D|`.
+    #[cfg(test)]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -101,6 +102,7 @@ impl RolloutBuffer {
     }
 
     /// The stored transitions.
+    #[cfg(test)]
     pub fn transitions(&self) -> &[Transition] {
         &self.transitions
     }

@@ -249,7 +249,7 @@ pub struct PpoAgent {
     /// and intervention log key on it.
     updates_done: u64,
     /// Test-only fault injection: when `Some(k)`, the `k`-th update (0-based
-    /// by [`PpoAgent::updates_done`]) corrupts one actor parameter to NaN
+    /// by `updates_done`) corrupts one actor parameter to NaN
     /// right before the post-update finiteness check, producing the exact
     /// divergence signature a real numeric blow-up would. Deliberately
     /// `#[serde(skip)]`: a rollback that restores a serialized snapshot
@@ -316,11 +316,6 @@ impl PpoAgent {
         })
     }
 
-    /// The hyperparameters.
-    pub fn config(&self) -> &PpoConfig {
-        &self.config
-    }
-
     /// The current (trained) policy `θ_a`.
     pub fn policy(&self) -> &GaussianPolicy {
         &self.policy
@@ -334,12 +329,14 @@ impl PpoAgent {
 
     /// Enables/disables training mode. In evaluation mode, observation
     /// statistics freeze.
+    #[cfg(test)]
     pub fn set_training(&mut self, training: bool) {
         self.training = training;
     }
 
     /// Number of completed [`PpoAgent::update`] calls over this agent's
     /// lifetime (survives checkpoint/resume).
+    #[cfg(test)]
     pub fn updates_done(&self) -> u64 {
         self.updates_done
     }
@@ -371,8 +368,8 @@ impl PpoAgent {
         self.recorder = recorder;
     }
 
-    /// Arms the test-only NaN fault: the update whose 0-based index (per
-    /// [`PpoAgent::updates_done`]) equals `update_index` will corrupt one
+    /// Arms the test-only NaN fault: the update whose 0-based index (the
+    /// count of completed [`PpoAgent::update`] calls) equals `update_index` will corrupt one
     /// actor parameter and fail with [`RlError::Diverged`], exactly like a
     /// real numeric blow-up. The flag is not serialized, so restoring a
     /// checkpoint disarms it.
@@ -470,6 +467,7 @@ impl PpoAgent {
     /// Deterministic action — the current policy's mean. This is the online
     /// reasoning mode of Section V-B2 ("we only use the trained actor
     /// network to generate its action").
+    #[cfg(test)]
     pub fn act_mean(&self, obs: &[f64]) -> Result<Vec<f64>> {
         let norm = self.obs_norm.normalize_batch(&[obs])?;
         Ok(self.policy.mean_actions(&norm)?.into_data())

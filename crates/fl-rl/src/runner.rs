@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 /// Evaluates the current (deterministic, mean-action) policy for
 /// `episodes` episodes and returns the mean episode reward. Does not touch
 /// observation statistics or parameters.
+#[cfg(test)]
 pub fn evaluate_mean_reward<E: Environment>(
     agent: &PpoAgent,
     env: &mut E,
@@ -208,21 +209,6 @@ impl<E: Environment + Send> VecEnvRunner<E> {
     /// identically with or without it.
     pub fn set_recorder(&mut self, recorder: fl_obs::Recorder) {
         self.recorder = recorder;
-    }
-
-    /// Number of environment instances.
-    pub fn n_envs(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Current worker cap.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Changes the worker cap (results are unaffected — that is the point).
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
     }
 
     /// Re-derives every slot's RNG stream from `salt` (keeping each slot's

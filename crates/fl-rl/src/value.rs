@@ -24,6 +24,7 @@ impl ValueNet {
     }
 
     /// Observation dimensionality.
+    #[cfg(test)]
     pub fn obs_dim(&self) -> usize {
         self.net.in_dim()
     }

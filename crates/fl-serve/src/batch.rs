@@ -325,16 +325,16 @@ mod tests {
     #[test]
     fn depth_gauge_tracks_push_and_drain() {
         let rec = fl_obs::Recorder::in_memory();
-        let gauge = rec.gauge("q.depth");
-        let q = BatchQueue::new(8, gauge.clone());
+        let q = BatchQueue::new(8, rec.gauge("q.depth"));
+        let depth = || rec.metrics_snapshot().gauges[0].clone();
         let (p0, _rx0) = pending(0.0);
         let (p1, _rx1) = pending(1.0);
         q.try_push(p0).map_err(|_| ()).unwrap();
         q.try_push(p1).map_err(|_| ()).unwrap();
-        assert_eq!(gauge.value(), 2.0);
+        assert_eq!(depth(), ("q.depth".to_string(), 2.0));
         let stop = AtomicBool::new(false);
         let _ = q.collect(8, Duration::ZERO, &stop);
-        assert_eq!(gauge.value(), 0.0);
+        assert_eq!(depth(), ("q.depth".to_string(), 0.0));
     }
 
     #[test]

@@ -162,16 +162,6 @@ impl ChaosPlan {
         ChaosPlan { model, seed }
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The plan's model.
-    pub fn model(&self) -> &ChaosModel {
-        &self.model
-    }
-
     /// Derives the chaos for `(conn, direction)` statelessly: a fresh
     /// ChaCha8 keyed by the plan seed, stream `conn * 2 + direction`,
     /// exactly seven unconditional uniform draws.
@@ -228,6 +218,7 @@ pub struct ConnChaos {
 
 impl ConnChaos {
     /// True when this stream is a transparent relay.
+    #[cfg(test)]
     pub fn is_clean(&self) -> bool {
         self.delay_every.is_none()
             && self.reset_after.is_none()

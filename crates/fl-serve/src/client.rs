@@ -333,11 +333,6 @@ impl ResilientClient {
         self.tracing = on;
     }
 
-    /// Requests issued so far (traced or not).
-    pub fn requests_issued(&self) -> u64 {
-        self.requests_issued
-    }
-
     /// Retries slept through so far (across all operations).
     pub fn retries_total(&self) -> u64 {
         self.retries_total
@@ -346,12 +341,6 @@ impl ResilientClient {
     /// Connections torn down because an error left the stream suspect.
     pub fn reconnects_total(&self) -> u64 {
         self.reconnects_total
-    }
-
-    /// Operations that exhausted retries / budget or hit a non-retryable
-    /// error.
-    pub fn giveups_total(&self) -> u64 {
-        self.giveups_total
     }
 
     fn ensure_conn(&mut self) -> Result<&mut ServeClient, ServeError> {
@@ -430,15 +419,6 @@ impl ResilientClient {
         self.decide_request(&WireRequest::decide(obs.to_vec()))
     }
 
-    /// One decision pinned to a config digest, with retries.
-    pub fn decide_pinned(
-        &mut self,
-        obs: &[f64],
-        digest: u32,
-    ) -> Result<(u64, Vec<f64>), ServeError> {
-        self.decide_request(&WireRequest::decide_pinned(obs.to_vec(), digest))
-    }
-
     /// An arbitrary `decide`-shaped request (deadline-carrying, pinned,
     /// ...) with retries.
     pub fn decide_request(&mut self, request: &WireRequest) -> Result<(u64, Vec<f64>), ServeError> {
@@ -460,11 +440,6 @@ impl ResilientClient {
                 )),
             }
         })
-    }
-
-    /// Server metrics snapshot with retries.
-    pub fn stats(&mut self) -> Result<ServeStats, ServeError> {
-        self.with_retries(|c, _| c.stats())
     }
 }
 

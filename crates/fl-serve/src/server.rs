@@ -484,20 +484,6 @@ impl DecisionServer {
         self.shared.stats()
     }
 
-    /// In-process hot-reload: adopt the newest store snapshot. Returns
-    /// whether a swap happened.
-    pub fn reload(&self) -> Result<bool, ServeError> {
-        self.shared
-            .try_reload()
-            .map(|(swapped, _)| swapped)
-            .map_err(|msg| ServeError::Server {
-                code: codes::RELOAD_FAILED.to_string(),
-                msg,
-                retry_after_ms: None,
-                stage: None,
-            })
-    }
-
     /// Flips the server into drain mode without stopping it: new `decide`
     /// requests are refused with `shutting_down` while already-admitted
     /// work keeps flowing through inference and is answered normally.

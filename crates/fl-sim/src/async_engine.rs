@@ -27,6 +27,7 @@ pub struct AsyncArrival {
 
 impl AsyncArrival {
     /// Round latency (download → server receipt).
+    #[cfg(test)]
     pub fn latency(&self) -> f64 {
         self.arrival_time - self.start_time
     }
@@ -51,17 +52,6 @@ impl AsyncSession {
         } else {
             self.arrivals.len() as f64 / self.duration
         }
-    }
-
-    /// Rounds completed by each device.
-    pub fn rounds_per_device(&self, n_devices: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; n_devices];
-        for a in &self.arrivals {
-            if let Some(c) = counts.get_mut(a.device) {
-                *c += 1;
-            }
-        }
-        counts
     }
 }
 
@@ -206,7 +196,8 @@ mod tests {
         };
         let sys = sim(vec![mk(0, 62.5), mk(1, 15.625)], traces);
         let s = run_async(&sys, &[2.0, 2.0], 0.0, 40.0).unwrap();
-        assert_eq!(s.rounds_per_device(2), vec![4, 6]);
+        let rounds = |d: usize| s.arrivals.iter().filter(|a| a.device == d).count();
+        assert_eq!([rounds(0), rounds(1)], [4, 6]);
         // Arrivals are globally sorted.
         for w in s.arrivals.windows(2) {
             assert!(w[0].arrival_time <= w[1].arrival_time);
@@ -235,6 +226,6 @@ mod tests {
         let s = run_async(&sys, &freqs, 100.0, 400.0).unwrap();
         assert!(!s.arrivals.is_empty());
         assert!(s.total_energy > 0.0);
-        assert!(s.rounds_per_device(4).iter().all(|&c| c > 0));
+        assert!((0..4).all(|d| s.arrivals.iter().any(|a| a.device == d)));
     }
 }

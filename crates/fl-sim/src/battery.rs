@@ -35,11 +35,13 @@ impl Battery {
     }
 
     /// Capacity in joules.
+    #[cfg(test)]
     pub fn capacity_j(&self) -> f64 {
         self.capacity_j
     }
 
     /// Remaining charge in joules.
+    #[cfg(test)]
     pub fn charge_j(&self) -> f64 {
         self.charge_j
     }
@@ -93,25 +95,8 @@ impl FleetBattery {
         })
     }
 
-    /// Heterogeneous capacities (joules), one per device.
-    pub fn from_capacities(capacities_j: &[f64]) -> Result<Self> {
-        if capacities_j.is_empty() {
-            return Err(SimError::InvalidArgument(
-                "need at least one device".to_string(),
-            ));
-        }
-        let batteries = capacities_j
-            .iter()
-            .map(|&c| Battery::new(c))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(FleetBattery {
-            batteries,
-            iterations_survived: 0,
-            dead: false,
-        })
-    }
-
     /// Per-device batteries.
+    #[cfg(test)]
     pub fn batteries(&self) -> &[Battery] {
         &self.batteries
     }
@@ -119,11 +104,6 @@ impl FleetBattery {
     /// Iterations completed with every device still alive.
     pub fn iterations_survived(&self) -> usize {
         self.iterations_survived
-    }
-
-    /// True once any device has died (synchronous FL cannot continue).
-    pub fn is_dead(&self) -> bool {
-        self.dead
     }
 
     /// Minimum state of charge across the fleet.
@@ -206,8 +186,8 @@ mod tests {
     #[test]
     fn fleet_construction_validation() {
         assert!(FleetBattery::uniform(0, 10.0).is_err());
-        assert!(FleetBattery::from_capacities(&[]).is_err());
-        assert!(FleetBattery::from_capacities(&[1.0, -1.0]).is_err());
+        assert!(FleetBattery::uniform(2, -1.0).is_err());
+        assert!(FleetBattery::uniform(2, f64::NAN).is_err());
     }
 
     #[test]
@@ -217,9 +197,7 @@ mod tests {
         assert!(fleet.apply(&report(&[4.0, 4.0])).unwrap());
         assert!(fleet.apply(&report(&[4.0, 4.0])).unwrap());
         assert_eq!(fleet.iterations_survived(), 2);
-        assert!(!fleet.is_dead());
         assert!(!fleet.apply(&report(&[4.0, 4.0])).unwrap());
-        assert!(fleet.is_dead());
         assert_eq!(fleet.iterations_survived(), 2);
         // Dead fleet rejects further work.
         assert!(fleet.apply(&report(&[1.0, 1.0])).is_err());
@@ -227,9 +205,10 @@ mod tests {
 
     #[test]
     fn first_death_halts_even_with_healthy_peers() {
-        let mut fleet = FleetBattery::from_capacities(&[100.0, 5.0]).unwrap();
-        assert!(!fleet.apply(&report(&[1.0, 6.0])).unwrap());
-        assert!(fleet.is_dead());
+        let mut fleet = FleetBattery::uniform(2, 100.0).unwrap();
+        assert!(!fleet.apply(&report(&[1.0, 101.0])).unwrap());
+        // Dead after the first depleted device.
+        assert!(fleet.apply(&report(&[0.0, 0.0])).is_err());
         // The healthy device's remaining charge is irrelevant to the
         // session, but it is still tracked.
         assert!(fleet.batteries()[0].fraction() > 0.9);

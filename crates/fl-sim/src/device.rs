@@ -15,11 +15,13 @@ pub struct Range {
 
 impl Range {
     /// A constant "range".
+    #[cfg(test)]
     pub fn fixed(v: f64) -> Self {
         Range { lo: v, hi: v }
     }
 
     /// Builds a range, validating `lo <= hi`.
+    #[cfg(test)]
     pub fn new(lo: f64, hi: f64) -> Result<Self> {
         if !(lo.is_finite() && hi.is_finite()) || lo > hi {
             return Err(SimError::InvalidArgument(format!("bad range [{lo}, {hi}]")));

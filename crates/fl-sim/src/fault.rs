@@ -227,6 +227,7 @@ impl Default for DeviceFault {
 
 impl DeviceFault {
     /// True when this fault changes nothing about the device's round.
+    #[cfg(test)]
     pub fn is_benign(&self) -> bool {
         !self.dropout
             && !self.upload_fail
@@ -281,11 +282,13 @@ impl FleetFaults {
     }
 
     /// Number of devices covered.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.dropout.len()
     }
 
     /// True when the schedule covers zero devices.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.dropout.is_empty()
     }

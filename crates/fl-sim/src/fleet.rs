@@ -24,7 +24,7 @@
 //! [`fl_pool::tree::TREE_ARITY`] ([`fl_pool::tree::aligned_shard_ranges`]).
 //! Each shard emits the *level-1 partials* of the fixed-arity reduction
 //! tree (one `f64` per `TREE_ARITY`-sized group, summed left-to-right with
-//! `Iterator::sum`, exactly like [`fl_pool::tree::group_partials`]);
+//! `Iterator::sum`);
 //! concatenating shard partials in shard order therefore reproduces the
 //! single-threaded level-1 array bit-for-bit, and
 //! [`fl_pool::tree::reduce_group_partials`] finishes the reduction with an
@@ -125,6 +125,7 @@ impl FleetState {
     /// `id`s must equal their index (the fleet addresses devices by
     /// position, and error reporting relies on it); the constants
     /// themselves are validated by [`FleetSim::new`].
+    #[cfg(test)]
     pub fn from_devices(devices: &[MobileDevice]) -> Result<Self> {
         let mut state = FleetState::with_capacity(devices.len());
         for (i, d) in devices.iter().enumerate() {
@@ -208,6 +209,7 @@ impl FleetState {
 
     /// Enables battery bookkeeping: every device starts at `capacity_j`
     /// joules of charge.
+    #[cfg(test)]
     pub fn set_batteries(&mut self, capacity_j: f64) -> Result<()> {
         if !(capacity_j > 0.0) || !capacity_j.is_finite() {
             return Err(SimError::InvalidArgument(format!(
@@ -226,7 +228,7 @@ impl FleetState {
 }
 
 /// Battery bookkeeping for one fleet round (present only when
-/// batteries were enabled, e.g. by [`FleetSim::set_batteries`]).
+/// batteries were enabled: `FleetState::battery_j` is non-empty).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BatteryRound {
     /// Devices at zero charge after this round's drain.
@@ -402,6 +404,7 @@ impl FleetSim {
 
     /// Enables battery bookkeeping: every device (re)starts at
     /// `capacity_j` joules of charge.
+    #[cfg(test)]
     pub fn set_batteries(&mut self, capacity_j: f64) -> Result<()> {
         self.state.set_batteries(capacity_j)
     }
@@ -444,11 +447,6 @@ impl FleetSim {
     /// change a single bit of any round result.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
-    }
-
-    /// Current shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Overrides the worker count (`None` = honor `FL_WORKERS` /
@@ -588,7 +586,7 @@ impl FleetSim {
         let len = range.len();
         let mut energy_groups = Vec::with_capacity(len.div_ceil(TREE_ARITY));
         // Buffered per-group so each partial is `buf.iter().sum()` — the
-        // exact accumulation `fl_pool::tree::group_partials` (and, at
+        // exact accumulation of the tree's level-1 groups (and, at
         // N <= ARITY, `IterationReport::total_energy`) performs.
         let mut buf: Vec<f64> = Vec::with_capacity(TREE_ARITY);
         let mut energies = want_energies.then(|| Vec::with_capacity(len));
@@ -1137,7 +1135,11 @@ mod tests {
             let faults = plan.faults_at(k);
             let report = fleet.run_iteration_faulty(50.0, &freqs, &faults).unwrap();
             let energies: Vec<f64> = report.devices.iter().map(|d| d.total_energy()).collect();
-            let tree_energy = fl_pool::tree::tree_sum_arity(&energies, TREE_ARITY);
+            let groups = energies
+                .chunks(TREE_ARITY)
+                .map(|c| c.iter().sum())
+                .collect();
+            let tree_energy = reduce_group_partials(groups, TREE_ARITY);
             let tally = report.outcome_tally();
             assert!(tally.dropped > 0 && tally.failed > 0 && tally.straggled > 0);
             for shards in [1, 8, 64] {
@@ -1180,7 +1182,7 @@ mod tests {
                 "sim.device.dropped",
                 "sim.device.failed",
             ]
-            .map(|name| rec.counter_value(name) as usize)
+            .map(|name| rec.counter(name).value() as usize)
         };
         let want = [
             2 * K as usize,

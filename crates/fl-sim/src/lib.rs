@@ -40,8 +40,9 @@
 //!
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
 //! let traces = TraceSet::from_profile(Profile::Walking4G, 2, 600, 1.0, &mut rng)?;
-//! let devices = DeviceSampler::default().sample_fleet(&traces.assign(3, &mut rng), &mut rng);
-//! let sim = FleetSim::new(FleetState::from_devices(&devices)?, traces, FlConfig::default())?;
+//! let assignment = traces.assign(3, &mut rng);
+//! let state = FleetState::sample(&DeviceSampler::default(), &assignment, &mut rng)?;
+//! let sim = FleetSim::new(state, traces, FlConfig::default())?;
 //! // One synchronized iteration with every device at its frequency cap:
 //! let report = sim.run_iteration(0.0, &sim.max_freqs())?;
 //! assert!(report.duration > 0.0);                 // T^k  (Eq. 5)

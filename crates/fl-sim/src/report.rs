@@ -27,6 +27,7 @@ pub struct DeviceOutcome {
 
 impl DeviceOutcome {
     /// `T_i^k = t_cmp + t_com` (Eq. 4).
+    #[cfg(test)]
     pub fn total_time(&self) -> f64 {
         self.compute_time + self.comm_time
     }
@@ -66,6 +67,7 @@ impl IterationReport {
     }
 
     /// Total idle time across devices (the waste Fig. 3 highlights).
+    #[cfg(test)]
     pub fn total_idle(&self) -> f64 {
         self.devices.iter().map(|d| d.idle_time).sum()
     }
@@ -77,6 +79,7 @@ impl IterationReport {
     }
 
     /// Number of devices whose update survived this iteration.
+    #[cfg(test)]
     pub fn survivors(&self) -> usize {
         self.devices.iter().filter(|d| d.status.survived()).count()
     }
@@ -164,16 +167,6 @@ impl SessionLedger {
         self.iterations.push(report);
     }
 
-    /// Number of iterations recorded.
-    pub fn len(&self) -> usize {
-        self.iterations.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.iterations.is_empty()
-    }
-
     /// The raw reports.
     pub fn iterations(&self) -> &[IterationReport] {
         &self.iterations
@@ -243,6 +236,7 @@ impl SessionLedger {
 
     /// Serializes the per-iteration series as CSV
     /// (`iteration,start,duration,energy,cost,idle`) for external plotting.
+    #[cfg(test)]
     pub fn to_csv(&self) -> String {
         let mut out = String::with_capacity(self.iterations.len() * 64 + 64);
         out.push_str("iteration,start_s,duration_s,energy_j,cost,idle_s\n");
@@ -304,10 +298,10 @@ mod tests {
     #[test]
     fn ledger_series_and_means() {
         let mut l = SessionLedger::new(0.1);
-        assert!(l.is_empty());
+        assert!(l.iterations().is_empty());
         l.push(report(0.0));
         l.push(report(10.0));
-        assert_eq!(l.len(), 2);
+        assert_eq!(l.iterations().len(), 2);
         assert_eq!(l.cost_series().len(), 2);
         assert!((l.mean_cost() - 10.3).abs() < 1e-12);
         assert!((l.mean_time() - 10.0).abs() < 1e-12);

@@ -14,7 +14,7 @@
 #![allow(dead_code)] // each suite uses a subset of the harness
 
 use fl_ctrl::{
-    build_system, train_drl_parallel_opt, CheckpointOptions, EnvConfig, Intervention,
+    build_system_with, train_drl_parallel_opt, CheckpointOptions, EnvConfig, Intervention,
     ParallelConfig, PolicyArch, RunOptions, TrainConfig, TrainOutput,
 };
 use fl_net::synth::Profile;
@@ -34,12 +34,13 @@ pub const SEED: u64 = 42;
 /// distinct 1200-slot traces.
 pub fn system(n_devices: usize, seed: u64) -> FleetSim {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    build_system(
+    build_system_with(
         n_devices,
         n_devices.min(3),
         Profile::Walking4G,
         1200,
         FlConfig::default(),
+        &fl_sim::DeviceSampler::default(),
         &mut rng,
     )
     .unwrap()

@@ -5,7 +5,7 @@
 //! the unit tests inside each crate.
 
 use fl_ctrl::{
-    build_system, compare_controllers, run_controller, train_drl, DrlController, EnvConfig,
+    build_system_with, compare_controllers, run_controller, train_drl, DrlController, EnvConfig,
     FrequencyController, HeuristicController, MaxFreqController, OracleController, PolicyArch,
     StaticController, TrainConfig,
 };
@@ -17,7 +17,7 @@ use rand_chacha::ChaCha8Rng;
 
 fn small_system(seed: u64, n: usize) -> fl_sim::FleetSim {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    build_system(
+    build_system_with(
         n,
         n.min(3),
         Profile::Walking4G,
@@ -27,6 +27,7 @@ fn small_system(seed: u64, n: usize) -> fl_sim::FleetSim {
             model_size_mb: 10.0,
             lambda: 0.5,
         },
+        &fl_sim::DeviceSampler::default(),
         &mut rng,
     )
     .expect("valid system")
@@ -144,7 +145,7 @@ fn joint_and_shared_architectures_both_train() {
             .unwrap_or_else(|e| panic!("{arch:?} training failed: {e}"));
         let mut ctrl = out.controller;
         let run = run_controller(&sys, &mut ctrl, 20, 300.0).expect("evaluation");
-        assert_eq!(run.ledger.len(), 20);
+        assert_eq!(run.ledger.iterations().len(), 20);
         assert!(run.ledger.mean_cost().is_finite());
         assert!(out.episodes.iter().all(|e| e.mean_cost.is_finite()));
     }
@@ -187,8 +188,7 @@ fn oracle_agrees_with_solver_on_flat_traces() {
             .collect(),
     )
     .expect("trace set");
-    let devices = DeviceSampler::default().sample_fleet(&[0, 1, 2], &mut rng);
-    let state = FleetState::from_devices(&devices).expect("device ids");
+    let state = FleetState::sample(&DeviceSampler::default(), &[0, 1, 2], &mut rng).expect("fleet");
     let sys = FleetSim::new(state, traces, FlConfig::default()).expect("system");
 
     let params = SolverParams {
@@ -237,7 +237,7 @@ fn timeline_and_idle_accounting() {
         let max_total = it
             .devices
             .iter()
-            .map(|d| d.total_time())
+            .map(|d| d.compute_time + d.comm_time)
             .fold(0.0f64, f64::max);
         assert!((it.duration - max_total).abs() < 1e-9);
         let min_idle = it

@@ -192,7 +192,7 @@ fn fleet_decision_path_matches_system_overlap_and_rebinds() {
         let faults = plan.faults_at(k);
         let report = big_sys.run_iteration_faulty(t, &f_a, &faults).unwrap();
         let round = big_fleet.run_round(t, &f_b, &faults).unwrap();
-        assert!(report.survivors() < 200);
+        assert!(report.survivor_flags().contains(&false));
         t = round.end_time();
         prev_report = Some(report);
         prev_round = Some(round);

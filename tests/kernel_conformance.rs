@@ -9,7 +9,7 @@
 //! `add_row_broadcast`) is compared with `f64::to_bits` equality over
 //! proptest-drawn shapes (degenerate `0xN` / `Nx0` / `1xN` included) and
 //! special-value injections; golden hand-computed products pin absolute
-//! values; and full `train_drl_parallel` runs are fingerprinted under both
+//! values; and full `train_drl_parallel_opt` runs are fingerprinted under both
 //! `KernelKind`s at 1 and 4 workers, with and without fault injection.
 //!
 //! The tanh rows: the in-repo `fl_nn::tanh` equals libm's bit for bit on
@@ -622,7 +622,7 @@ proptest! {
                 tail.get(i % devices, c - p)
             }
         });
-        let w_head = w.slice_rows(0, p).unwrap();
+        let w_head = w.gather_rows(&(0..p).collect::<Vec<_>>()).unwrap();
         for kind in [KernelKind::Blocked, KernelKind::Naive] {
             let want = whole.matmul_add_bias_with(&w, &bias, kind).unwrap();
             let sums = prefix.matmul_with(&w_head, kind, false).unwrap();
@@ -630,7 +630,9 @@ proptest! {
                 let got = tail
                     .matmul_add_bias_from_with(sums.row(r), &w, p, &bias, kind)
                     .unwrap();
-                let want = want.slice_rows(r * devices, (r + 1) * devices).unwrap();
+                let want = want
+                    .gather_rows(&(r * devices..(r + 1) * devices).collect::<Vec<_>>())
+                    .unwrap();
                 prop_assert!(bits(&got) == bits(&want), "{} samples x {} devices, p={} s={} n={} specials={} {:?}", samples, devices, p, s, n, specials, kind
                 );
             }

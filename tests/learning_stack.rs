@@ -2,7 +2,7 @@
 //! frequency scheduler — constraint (10), Eq. (7)/(8), and the interplay
 //! between the physical and statistical halves of the system.
 
-use fl_ctrl::{build_system, FrequencyController, HeuristicController, MaxFreqController};
+use fl_ctrl::{build_system_with, FrequencyController, HeuristicController, MaxFreqController};
 use fl_learn::{data, FedAvg, FedAvgConfig, LocalTrainer};
 use fl_net::synth::Profile;
 use fl_sim::{FlConfig, SessionLedger};
@@ -18,7 +18,7 @@ fn fedavg_under_schedule(
 ) -> (usize, f64, SessionLedger) {
     let n_devices = 3;
     let mut rng = ChaCha8Rng::seed_from_u64(77);
-    let sys = build_system(
+    let sys = build_system_with(
         n_devices,
         3,
         Profile::Walking4G,
@@ -28,6 +28,7 @@ fn fedavg_under_schedule(
             model_size_mb: 10.0,
             lambda: 0.5,
         },
+        &fl_sim::DeviceSampler::default(),
         &mut rng,
     )
     .expect("system");
@@ -64,7 +65,7 @@ fn fedavg_reaches_epsilon_under_scheduler() {
     let mut ctrl = HeuristicController::default();
     let (rounds, loss, ledger) = fedavg_under_schedule(&mut ctrl, 0.15, 40);
     assert!(loss < 0.15, "loss {loss} after {rounds} rounds");
-    assert_eq!(ledger.len(), rounds);
+    assert_eq!(ledger.iterations().len(), rounds);
     assert!(ledger.total_cost() > 0.0);
 }
 

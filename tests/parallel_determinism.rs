@@ -7,8 +7,8 @@
 mod harness;
 
 use fl_ctrl::{
-    compare_controllers, run_parallel_sweep, train_drl_parallel, MaxFreqController, ParallelConfig,
-    RunOptions, StaticController,
+    compare_controllers, run_parallel_sweep, train_drl_parallel_opt, MaxFreqController,
+    ParallelConfig, RunOptions, StaticController,
 };
 use harness::{assert_rows_agree, quick_config, system, train_under, Knobs, BASE};
 use rand::SeedableRng;
@@ -90,7 +90,13 @@ fn seed_sweep_order_and_values_invariant_to_workers() {
                 n_envs: 2,
                 workers: 1,
             };
-            let out = train_drl_parallel(&sys, &quick_config(4, None), &par, &mut rng)?;
+            let out = train_drl_parallel_opt(
+                &sys,
+                &quick_config(4, None),
+                &par,
+                &mut rng,
+                &RunOptions::default(),
+            )?;
             Ok(out.output.final_mean_cost(2).to_bits())
         })
         .unwrap();

@@ -12,7 +12,7 @@
 pub mod harness;
 pub use harness::temp_dir;
 
-use fl_ctrl::{build_system, ControllerSnapshot, DrlController};
+use fl_ctrl::{build_system_with, ControllerSnapshot, DrlController};
 use fl_net::synth::Profile;
 use fl_rl::{GaussianPolicy, RunningNorm};
 use fl_sim::{FlConfig, FleetSim};
@@ -30,12 +30,13 @@ pub const HIST: usize = 4;
 /// decision quality) and Welford statistics warmed on real observations.
 pub fn make_snapshot(seed: u64) -> (FleetSim, ControllerSnapshot) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let sys = build_system(
+    let sys = build_system_with(
         3,
         3,
         Profile::Walking4G,
         1200,
         FlConfig::default(),
+        &fl_sim::DeviceSampler::default(),
         &mut rng,
     )
     .unwrap();
