@@ -13,7 +13,11 @@
 //! `rollout_forward_batched_32` (one batched policy/value forward vs 32
 //! single-row forwards). The parallel case is only gated on hosts with at
 //! least 4 cores — below that the 4-worker arm degenerates to time-slicing
-//! and its ratio is noise, so it is reported but not enforced.
+//! and its ratio is noise, so it is reported but not enforced. A third
+//! scheduling case, `pool_fanout_2` (one empty 2-task pool round against
+//! the same two tasks inline), is printed with every sweep but has no
+//! baseline entry; the gate iterates only the baseline's cases, so it is
+//! reported, not gated.
 //!
 //! Timing noise is absorbed by retrying the full sweep up to three times;
 //! the gate fails only if every attempt regresses. Run with `--release` —

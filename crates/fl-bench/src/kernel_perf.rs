@@ -72,12 +72,18 @@ fn mk(rows: usize, cols: usize, salt: usize) -> Matrix {
 /// unfused matmul-then-broadcast; transpose covers the tiled copy; the tanh
 /// case compares the in-repo activation against libm.
 ///
-/// All kernel-vs-kernel matmuls force the serial path (`parallel: false`)
-/// so the measurement is a single-thread kernel comparison regardless of
-/// host core count. The two scheduling cases (`matmul_256_par4`,
-/// `rollout_forward_batched_32`) instead pin the kernel family and vary the
-/// *schedule* — worker count and batching — which the bit-exactness
-/// contract guarantees cannot change results.
+/// The square `matmul_{n}` cases force the serial path (`parallel:
+/// false`), so they compare single-thread kernels on any host. The
+/// `matmul_tn_64`, `matmul_nt_64` and `matmul_add_bias_64` cases call entry
+/// points that choose by shape: 64³ is exactly the parallel-dispatch
+/// threshold, so their blocked arm (and the naive `nt` and fused arms)
+/// runs as a pool round at `FL_WORKERS` (default: every core) workers,
+/// while the naive `tn` never splits. Those three ratios therefore include
+/// one fan-out per call on a multi-core host. The three scheduling cases
+/// (`matmul_256_par4`, `rollout_forward_batched_32`, `pool_fanout_2`)
+/// instead pin the kernel family and vary the *schedule* — worker count,
+/// batching, fan-out — which the bit-exactness contract guarantees cannot
+/// change results.
 pub fn ops() -> Vec<KernelOp> {
     let mut ops = Vec::new();
     for n in [32usize, 64, 128] {
@@ -205,6 +211,23 @@ pub fn ops() -> Vec<KernelOp> {
             }),
         });
     }
+    // Pool fan-out cost: the blocked slot runs two empty tasks as one
+    // 2-worker pool round, the naive slot the same two tasks inline on the
+    // caller. The "speedup" is inline/fan-out, so it sits below 1; its
+    // reciprocal is what one pool round costs over doing nothing. Reported,
+    // not gated: no baseline carries it.
+    ops.push(KernelOp {
+        name: "pool_fanout_2".to_string(),
+        f: Box::new(|kind| {
+            let workers = match kind {
+                KernelKind::Blocked => 2,
+                KernelKind::Naive => 1,
+            };
+            black_box(fl_pool::run_indexed(workers, vec![(), ()], |i, ()| {
+                black_box(i)
+            }));
+        }),
+    });
     ops
 }
 
@@ -283,6 +306,7 @@ mod tests {
                 "tanh_8192x64",
                 "matmul_256_par4",
                 "rollout_forward_batched_32",
+                "pool_fanout_2",
             ]
         );
         for c in &report.cases {

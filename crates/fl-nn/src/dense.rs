@@ -125,6 +125,19 @@ impl Dense {
     /// Returns an error when called before `forward` or with a gradient whose
     /// shape does not match the cached batch.
     pub fn backward(&mut self, dy: Matrix) -> Result<Matrix> {
+        self.accumulate_grads(dy)?.matmul_nt(&self.w)
+    }
+
+    /// [`Dense::backward`] without the input gradient: accumulates `dl/dW`
+    /// and `dl/db` only, skipping the `dz · Wᵀ` product. The first layer of
+    /// an [`crate::Mlp`] runs this, since no caller reads `dl/dx` there.
+    pub(crate) fn backward_params(&mut self, dy: Matrix) -> Result<()> {
+        self.accumulate_grads(dy).map(drop)
+    }
+
+    /// Accumulates `dl/dW += xᵀ dz` and `dl/db += colsum(dz)` and returns
+    /// `dz = dy ⊙ act'`.
+    fn accumulate_grads(&mut self, dy: Matrix) -> Result<Matrix> {
         let x = self.cached_input.as_ref().ok_or_else(|| {
             NnError::InvalidArgument("backward called before forward".to_string())
         })?;
@@ -144,7 +157,7 @@ impl Dense {
                 *d *= act.derivative(v);
             }
         }
-        // dW += x^T dz ; db += column sums of dz ; dx = dz W^T
+        // dW += x^T dz ; db += column sums of dz
         let dw = x.matmul_tn(&dz)?;
         match &mut self.grad_w {
             Some(g) => g.axpy(1.0, &dw)?,
@@ -159,7 +172,7 @@ impl Dense {
             }
             None => self.grad_b = Some(db),
         }
-        dz.matmul_nt(&self.w)
+        Ok(dz)
     }
 
     /// Clears accumulated gradients (not the activation caches).
@@ -290,6 +303,34 @@ mod tests {
         assert!((gw.get(0, 0) - 0.5).abs() < 1e-12);
         assert!((gw.get(1, 1) + 3.0).abs() < 1e-12);
         assert_eq!(l.grad_b.as_ref().unwrap(), &vec![0.5, 1.5]);
+    }
+
+    #[test]
+    fn hidden_layer_backward_returns_input_shaped_dx() {
+        // A 4-row batch through a 3 -> 2 tanh layer: dl/dx is 4 x 3.
+        let mut l = layer(Activation::Tanh);
+        let x = Matrix::from_fn(4, 3, |r, c| (r + c) as f64 * 0.1);
+        l.forward_owned(x).unwrap();
+        let dx = l.backward(Matrix::filled(4, 2, 1.0)).unwrap();
+        assert_eq!(dx.shape(), (4, 3));
+        assert!(dx.data().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn backward_params_accumulates_what_backward_does() {
+        let x = Matrix::from_fn(5, 3, |r, c| (r * 3 + c) as f64 * 0.2 - 1.0);
+        let dy = Matrix::from_fn(5, 2, |r, c| (r + 2 * c) as f64 * 0.3 - 0.7);
+        let (mut full, mut params) = (layer(Activation::Tanh), layer(Activation::Tanh));
+        for l in [&mut full, &mut params] {
+            l.forward_owned(x.clone()).unwrap();
+        }
+        full.backward(dy.clone()).unwrap();
+        params.backward_params(dy).unwrap();
+        assert_eq!(full.grad_w, params.grad_w);
+        assert_eq!(full.grad_b, params.grad_b);
+        assert!(layer(Activation::Tanh)
+            .backward_params(Matrix::zeros(1, 2))
+            .is_err());
     }
 
     #[test]

@@ -104,13 +104,20 @@ impl Mlp {
     }
 
     /// Backpropagates `dl/dy` through the cached batch, accumulating
-    /// gradients in every layer, and returns `dl/dx`. The gradient is
-    /// threaded through the layers by value; each scales it in place.
-    pub fn backward(&mut self, dloss_dout: Matrix) -> Result<Matrix> {
-        self.layers
+    /// parameter gradients in every layer. The gradient is threaded through
+    /// the layers by value; each scales it in place. The first layer stops
+    /// at its parameters: no caller reads `dl/dx`, so its `dz · Wᵀ` is
+    /// never formed.
+    pub fn backward(&mut self, dloss_dout: Matrix) -> Result<()> {
+        let (first, rest) = self
+            .layers
+            .split_first_mut()
+            .ok_or_else(|| NnError::InvalidArgument("backward on an empty MLP".to_string()))?;
+        let d = rest
             .iter_mut()
             .rev()
-            .try_fold(dloss_dout, |d, layer| layer.backward(d))
+            .try_fold(dloss_dout, |d, layer| layer.backward(d))?;
+        first.backward_params(d)
     }
 
     /// Clears accumulated gradients in every layer.
@@ -250,8 +257,7 @@ mod tests {
         let x = Matrix::from_fn(4, 3, |r, c| (r + c) as f64 * 0.1);
         let y = n.try_forward(&x).unwrap();
         n.zero_grad();
-        let d = n.backward(Matrix::filled(y.rows(), y.cols(), 1.0)).unwrap();
-        assert_eq!(d.shape(), (4, 3));
+        n.backward(Matrix::filled(y.rows(), y.cols(), 1.0)).unwrap();
         assert!(n.grad_norm().is_finite());
         assert!(n.grad_norm() > 0.0);
     }

@@ -1,28 +1,42 @@
 //! # fl-pool — work-stealing thread pool for deterministic fan-out.
 //!
-//! The pool runs a fixed batch of indexed tasks on `workers` scoped threads
-//! and returns the results **in task-index order**, no matter which worker
-//! executed which task or in what sequence. That slot-indexed collection is
-//! the primitive every parallel layer above (vectorized rollouts, seed
-//! sweeps, controller comparisons, row-split matmuls) relies on for
-//! thread-count-invariant results: parallelism may reorder *execution*,
-//! never *observation*.
+//! The pool runs a fixed batch of indexed tasks on `workers` logical
+//! workers and returns the results **in task-index order**, no matter which
+//! worker executed which task or in what sequence. That slot-indexed
+//! collection is the primitive every parallel layer above (vectorized
+//! rollouts, seed sweeps, controller comparisons, row-split matmuls) relies
+//! on for thread-count-invariant results: parallelism may reorder
+//! *execution*, never *observation*.
 //!
 //! Scheduling is classic work stealing: task indices are dealt round-robin
 //! into one deque per worker; a worker pops its own deque from the front
 //! and, when empty, steals from the back of its neighbors'. Because tasks
 //! never enqueue new tasks, a worker that finds every deque empty can
-//! retire immediately — no condition variables needed.
+//! retire immediately.
+//!
+//! The threads live as long as the process. Helper threads are spawned
+//! lazily, up to the widest width requested so far minus one, and park
+//! between jobs; the calling thread always runs as worker 0. A call posts
+//! one ticket per further logical worker and runs worker 0's loop. It then
+//! withdraws every ticket no helper has claimed and runs those loops itself
+//! (they return at once when the deques are empty), and only then waits,
+//! and only for the tickets a helper did claim. So a call never waits on a
+//! helper that is busy with another caller, and a call made from inside a
+//! pool task, on any thread, runs inline: nested and concurrent callers
+//! always make progress.
 //!
 //! This crate sits *below* `fl-nn` in the dependency graph so the blocked
 //! GEMM can row-split across the same pool the rollout runner uses.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use crossbeam::thread as cb_thread;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
+use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -164,126 +178,320 @@ pub fn env_workers_setting() -> Result<Option<usize>, String> {
 }
 
 /// Runs `f(i, items[i])` for every item on a work-stealing pool of
-/// `workers` threads and returns the results in item order.
+/// `workers` logical workers and returns the results in item order.
 ///
 /// The scheduling is nondeterministic; the output is not: `results[i]`
 /// always corresponds to `items[i]`, and `f` receives each item exactly
 /// once. With `workers <= 1` (or a single item) everything runs on the
 /// calling thread, which doubles as the reference behavior the
-/// determinism tests compare against.
+/// determinism tests compare against. A task that panics re-raises its own
+/// payload in the caller, once every worker of the call has stopped.
 pub fn run_indexed<T, R, F>(workers: usize, items: Vec<T>, f: F) -> PoolRun<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let n_tasks = items.len();
-    let n_workers = workers.max(1).min(n_tasks.max(1));
-    let start = Instant::now();
+    POOL.run(workers, items, f)
+}
 
-    if n_workers <= 1 {
-        let mut stats = WorkerStats {
-            worker: 0,
-            tasks: 0,
-            steals: 0,
-            busy: Duration::ZERO,
-        };
-        let mut results = Vec::with_capacity(n_tasks);
-        for (i, item) in items.into_iter().enumerate() {
-            let t0 = Instant::now();
-            results.push(f(i, item));
-            stats.busy += t0.elapsed();
-            stats.tasks += 1;
+/// The process-wide pool behind [`run_indexed`].
+static POOL: Pool = Pool::new();
+
+thread_local! {
+    /// Set while this thread runs a worker loop: a call made from inside a
+    /// pool task runs every logical worker inline.
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as inside a pool task until dropped.
+struct InTask(bool);
+
+impl InTask {
+    fn enter() -> Self {
+        InTask(IN_TASK.replace(true))
+    }
+}
+
+impl Drop for InTask {
+    fn drop(&mut self) {
+        IN_TASK.set(self.0);
+    }
+}
+
+/// What a call shares with the helpers: its worker loops, and how many of
+/// its tickets a helper has claimed and not yet finished. `claimed`
+/// changes only under the pool lock.
+struct Job<'a> {
+    /// Runs logical worker `w`'s loop; never unwinds.
+    run: &'a (dyn Fn(usize) + Sync + 'a),
+    claimed: AtomicUsize,
+}
+
+/// One logical worker of a posted call, waiting for a helper.
+struct Ticket {
+    job: &'static Job<'static>,
+    worker: usize,
+}
+
+struct State {
+    /// Posted tickets no helper has claimed yet.
+    queue: VecDeque<Ticket>,
+    /// Helper threads spawned so far.
+    helpers: usize,
+}
+
+/// Resident helper threads and the queue of tickets they take work from.
+struct Pool {
+    state: Mutex<State>,
+    /// Helpers park here until a ticket is posted.
+    posted: Condvar,
+    /// Callers park here until their claimed tickets finish.
+    finished: Condvar,
+}
+
+/// Erases the lifetime of a call's [`Job`] so its tickets can sit in the
+/// process-wide queue.
+#[allow(unsafe_code)]
+fn erase<'a>(job: &'a Job<'a>) -> &'static Job<'static> {
+    // SAFETY: `Pool::run` neither returns nor unwinds while any ticket
+    // that points at `job` can still run. Every ticket is either still in
+    // the queue, where the caller withdraws it under the pool lock, or was
+    // claimed under that lock, which raised `job.claimed`; the caller then
+    // waits under the same lock until `claimed` is back to zero, and a
+    // helper lowers it as its last access to `job`. Every worker loop runs
+    // under `catch_unwind`, and nothing else between posting and that wait
+    // can unwind, so the frame `job` lives in outlasts every use.
+    unsafe { std::mem::transmute::<&'a Job<'a>, &'static Job<'static>>(job) }
+}
+
+type WorkerOutput<R> = (WorkerStats, Vec<(usize, R)>);
+
+impl Pool {
+    const fn new() -> Self {
+        Pool {
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                helpers: 0,
+            }),
+            posted: Condvar::new(),
+            finished: Condvar::new(),
         }
-        return PoolRun {
-            results,
-            workers: vec![stats],
-            wall: start.elapsed(),
-        };
     }
 
-    // Task slots: each item is taken exactly once by whichever worker wins
-    // its index. Deques hold indices, dealt round-robin so the initial
-    // distribution is balanced without coordination.
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..n_workers)
-        .map(|w| {
-            Mutex::new(
-                (0..n_tasks)
-                    .filter(|i| i % n_workers == w)
-                    .collect::<VecDeque<usize>>(),
-            )
-        })
-        .collect();
+    /// Helpers held by the pool.
+    #[cfg(test)]
+    fn helpers(&self) -> usize {
+        self.state.lock().helpers
+    }
 
-    type WorkerOutput<R> = Option<(WorkerStats, Vec<(usize, R)>)>;
-    let mut worker_outputs: Vec<WorkerOutput<R>> = Vec::new();
-    worker_outputs.resize_with(n_workers, || None);
+    fn run<T, R, F>(&'static self, workers: usize, items: Vec<T>, f: F) -> PoolRun<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        let n_tasks = items.len();
+        let n_workers = workers.max(1).min(n_tasks.max(1));
+        let start = Instant::now();
 
-    cb_thread::scope(|scope| {
-        for (w, out) in worker_outputs.iter_mut().enumerate() {
-            let slots = &slots;
-            let queues = &queues;
-            let f = &f;
-            scope.spawn(move |_| {
-                let mut stats = WorkerStats {
-                    worker: w,
-                    tasks: 0,
-                    steals: 0,
-                    busy: Duration::ZERO,
-                };
-                let mut produced: Vec<(usize, R)> = Vec::new();
-                loop {
-                    // Own deque first (front), then steal (back) walking the
-                    // ring of victims starting at the right neighbor.
-                    let mut found: Option<(usize, bool)> =
-                        queues[w].lock().pop_front().map(|i| (i, false));
-                    if found.is_none() {
-                        for v in 1..n_workers {
-                            let victim = (w + v) % n_workers;
-                            if let Some(i) = queues[victim].lock().pop_back() {
-                                found = Some((i, true));
-                                break;
-                            }
+        if n_workers <= 1 {
+            let mut stats = WorkerStats {
+                worker: 0,
+                tasks: 0,
+                steals: 0,
+                busy: Duration::ZERO,
+            };
+            let mut results = Vec::with_capacity(n_tasks);
+            for (i, item) in items.into_iter().enumerate() {
+                let t0 = Instant::now();
+                results.push(f(i, item));
+                stats.busy += t0.elapsed();
+                stats.tasks += 1;
+            }
+            return PoolRun {
+                results,
+                workers: vec![stats],
+                wall: start.elapsed(),
+            };
+        }
+
+        // Task slots: each item is taken exactly once by whichever worker
+        // wins its index. Deques hold indices, dealt round-robin so the
+        // initial distribution is balanced without coordination.
+        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let queues: Vec<Mutex<VecDeque<usize>>> = (0..n_workers)
+            .map(|w| {
+                Mutex::new(
+                    (0..n_tasks)
+                        .filter(|i| i % n_workers == w)
+                        .collect::<VecDeque<usize>>(),
+                )
+            })
+            .collect();
+        let outputs: Vec<Mutex<Option<WorkerOutput<R>>>> =
+            (0..n_workers).map(|_| Mutex::new(None)).collect();
+        let panics: Mutex<Vec<Box<dyn Any + Send>>> = Mutex::new(Vec::new());
+        let abort = AtomicBool::new(false);
+
+        let worker_loop = |w: usize| {
+            let mut stats = WorkerStats {
+                worker: w,
+                tasks: 0,
+                steals: 0,
+                busy: Duration::ZERO,
+            };
+            let mut produced: Vec<(usize, R)> = Vec::new();
+            while !abort.load(Ordering::Relaxed) {
+                // Own deque first (front), then steal (back) walking the
+                // ring of victims starting at the right neighbor.
+                let mut found: Option<(usize, bool)> =
+                    queues[w].lock().pop_front().map(|i| (i, false));
+                if found.is_none() {
+                    for v in 1..n_workers {
+                        let victim = (w + v) % n_workers;
+                        if let Some(i) = queues[victim].lock().pop_back() {
+                            found = Some((i, true));
+                            break;
                         }
                     }
-                    let Some((idx, stolen)) = found else {
-                        // Tasks never spawn tasks: empty everywhere = done.
-                        break;
-                    };
-                    let Some(item) = slots[idx].lock().take() else {
-                        continue; // lost a race for an index; keep scanning
-                    };
-                    let t0 = Instant::now();
-                    produced.push((idx, f(idx, item)));
-                    stats.busy += t0.elapsed();
-                    stats.tasks += 1;
-                    stats.steals += usize::from(stolen);
                 }
-                *out = Some((stats, produced));
-            });
-        }
-    })
-    .expect("worker pool thread panicked");
+                let Some((idx, stolen)) = found else {
+                    // Tasks never spawn tasks: empty everywhere = done.
+                    break;
+                };
+                let Some(item) = slots[idx].lock().take() else {
+                    continue; // lost a race for an index; keep scanning
+                };
+                let t0 = Instant::now();
+                produced.push((idx, f(idx, item)));
+                stats.busy += t0.elapsed();
+                stats.tasks += 1;
+                stats.steals += usize::from(stolen);
+            }
+            (stats, produced)
+        };
+        let run = |w: usize| {
+            let _in_task = InTask::enter();
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+                *outputs[w].lock() = Some(worker_loop(w));
+            }));
+            if let Err(payload) = ran {
+                abort.store(true, Ordering::Relaxed);
+                panics.lock().push(payload);
+            }
+        };
+        let job = Job {
+            run: &run,
+            claimed: AtomicUsize::new(0),
+        };
 
-    let mut workers_out = Vec::with_capacity(n_workers);
-    let mut ordered: Vec<Option<R>> = Vec::new();
-    ordered.resize_with(n_tasks, || None);
-    for out in worker_outputs {
-        let (stats, produced) = out.expect("every worker reports");
-        workers_out.push(stats);
-        for (idx, r) in produced {
-            debug_assert!(ordered[idx].is_none(), "task {idx} executed twice");
-            ordered[idx] = Some(r);
+        if IN_TASK.get() {
+            for w in 0..n_workers {
+                run(w);
+            }
+        } else {
+            let job = erase(&job);
+            self.post(job, n_workers);
+            run(0);
+            for w in self.withdraw(job) {
+                run(w);
+            }
+            self.wait(job);
+        }
+
+        let mut panics = panics.into_inner();
+        if !panics.is_empty() {
+            panic::resume_unwind(panics.swap_remove(0));
+        }
+        let mut workers_out = Vec::with_capacity(n_workers);
+        let mut ordered: Vec<Option<R>> = Vec::new();
+        ordered.resize_with(n_tasks, || None);
+        for out in outputs {
+            let (stats, produced) = out.into_inner().expect("every worker reports");
+            workers_out.push(stats);
+            for (idx, r) in produced {
+                debug_assert!(ordered[idx].is_none(), "task {idx} executed twice");
+                ordered[idx] = Some(r);
+            }
+        }
+        PoolRun {
+            results: ordered
+                .into_iter()
+                .map(|r| r.expect("every task executed"))
+                .collect(),
+            workers: workers_out,
+            wall: start.elapsed(),
         }
     }
-    PoolRun {
-        results: ordered
-            .into_iter()
-            .map(|r| r.expect("every task executed"))
-            .collect(),
-        workers: workers_out,
-        wall: start.elapsed(),
+
+    /// Posts tickets for workers `1..n_workers` of `job`, growing the
+    /// helper set to `n_workers - 1` first if it is smaller.
+    fn post(&'static self, job: &'static Job<'static>, n_workers: usize) {
+        let spawn = {
+            let mut state = self.state.lock();
+            let spawn = (n_workers - 1).saturating_sub(state.helpers);
+            state.helpers += spawn;
+            state
+                .queue
+                .extend((1..n_workers).map(|worker| Ticket { job, worker }));
+            spawn
+        };
+        for _ in 1..n_workers {
+            self.posted.notify_one();
+        }
+        // Helpers are never joined: they live as long as the process, and
+        // nothing they run can unwind (every worker loop catches panics).
+        for _ in 0..spawn {
+            let helper = std::thread::Builder::new()
+                .name("fl-pool".to_string())
+                .spawn(move || self.serve());
+            if helper.is_err() {
+                // The caller runs every unclaimed ticket itself, so a
+                // missing helper costs parallelism, never progress.
+                self.state.lock().helpers -= 1;
+            }
+        }
+    }
+
+    /// Removes `job`'s unclaimed tickets from the queue and returns their
+    /// worker indices.
+    fn withdraw(&self, job: &'static Job<'static>) -> Vec<usize> {
+        let mut mine = Vec::new();
+        self.state.lock().queue.retain(|t| {
+            let own = std::ptr::eq(t.job, job);
+            if own {
+                mine.push(t.worker);
+            }
+            !own
+        });
+        mine
+    }
+
+    /// Blocks until no helper is running a ticket of `job`.
+    fn wait(&self, job: &Job<'_>) {
+        drop(self.finished.wait_while(self.state.lock(), |_| {
+            job.claimed.load(Ordering::Relaxed) > 0
+        }));
+    }
+
+    /// A helper's life: claim a ticket, run its worker loop, report, repeat.
+    fn serve(&'static self) {
+        // Everything a helper runs is a pool task.
+        IN_TASK.set(true);
+        let mut state = self.state.lock();
+        loop {
+            let Some(ticket) = state.queue.pop_front() else {
+                state = self.posted.wait(state);
+                continue;
+            };
+            ticket.job.claimed.fetch_add(1, Ordering::Relaxed);
+            drop(state);
+            (ticket.job.run)(ticket.worker);
+            state = self.state.lock();
+            ticket.job.claimed.fetch_sub(1, Ordering::Relaxed);
+            self.finished.notify_all();
+        }
     }
 }
 
@@ -549,6 +757,78 @@ mod tests {
         for w in 0..run.workers.len() {
             assert!(line.contains(&format!("w{w}:")), "{line}");
         }
+    }
+
+    #[test]
+    fn a_panicking_task_re_raises_its_own_payload() {
+        for workers in [1, 2, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                run_indexed(workers, (0..16).collect(), |i, x: usize| {
+                    if i == 11 {
+                        panic!("task 11 failed");
+                    }
+                    x
+                })
+            });
+            let payload = caught.expect_err("the task's panic reaches the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"task 11 failed"),
+                "workers={workers}"
+            );
+        }
+        // The pool still serves calls afterwards.
+        let run = run_indexed(2, vec![1, 2, 3], |_, x| x * 2);
+        assert_eq!(run.results, [2, 4, 6]);
+    }
+
+    #[test]
+    fn a_task_that_fans_out_completes_with_the_serial_results() {
+        let inner = |i: usize| -> Vec<u64> {
+            run_indexed(4, (0..9u64).collect(), |j, x| x * 100 + i as u64 + j as u64).results
+        };
+        let serial: Vec<Vec<u64>> = (0..12).map(inner).collect();
+        for workers in [2, 4] {
+            let run = run_indexed(workers, (0..12).collect(), |_, i| inner(i));
+            assert_eq!(run.results, serial, "workers={workers}");
+            assert_eq!(run.workers.len(), workers);
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_all_get_slot_ordered_results() {
+        std::thread::scope(|scope| {
+            for caller in 0..4u64 {
+                scope.spawn(move || {
+                    for call in 0..500u64 {
+                        let n = 1 + (call % 7) as usize;
+                        let items: Vec<u64> = (0..n as u64).collect();
+                        let workers = 2 + (call % 3) as usize;
+                        let run = run_indexed(workers, items, |i, x| (caller, call, i as u64 + x));
+                        let want: Vec<(u64, u64, u64)> =
+                            (0..n as u64).map(|i| (caller, call, 2 * i)).collect();
+                        assert_eq!(run.results, want, "caller={caller} call={call}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_pool_holds_one_helper_fewer_than_its_widest_call() {
+        static POOL: Pool = Pool::new();
+        assert_eq!(POOL.helpers(), 0);
+        POOL.run(1, vec![0u8; 8], |_, x| x);
+        assert_eq!(POOL.helpers(), 0, "a serial call spawns nothing");
+        for call in 0..10_000u32 {
+            let run = POOL.run(2, vec![call, call + 1], |i, x| x + i as u32);
+            assert_eq!(run.results, [call, call + 2]);
+        }
+        assert_eq!(POOL.helpers(), 1);
+        POOL.run(3, vec![(); 2], |_, ()| ());
+        assert_eq!(POOL.helpers(), 1, "width is capped at the task count");
+        POOL.run(3, vec![(); 3], |_, ()| ());
+        assert_eq!(POOL.helpers(), 2);
     }
 
     #[test]
