@@ -17,7 +17,8 @@
 //! scheduling case, `pool_fanout_2` (one empty 2-task pool round against
 //! the same two tasks inline), is printed with every sweep but has no
 //! baseline entry; the gate iterates only the baseline's cases, so it is
-//! reported, not gated.
+//! reported, not gated. The same holds for the two `tn` cases at the
+//! training shapes, `matmul_tn_3200` and `matmul_tn_3200x1`.
 //!
 //! Timing noise is absorbed by retrying the full sweep up to three times;
 //! the gate fails only if every attempt regresses. Run with `--release` —

@@ -68,9 +68,11 @@ fn mk(rows: usize, cols: usize, salt: usize) -> Matrix {
 
 /// The benchmarked operations. Square matmuls frame the headline number
 /// (the dense forward/backward GEMMs); `tn`/`nt` cover the gradient
-/// kernels; the fused case compares one fused sweep against the reference's
-/// unfused matmul-then-broadcast; transpose covers the tiled copy; the tanh
-/// case compares the in-repo activation against libm.
+/// kernels, and `matmul_tn_3200`/`matmul_tn_3200x1` time `tn` at the
+/// training minibatch's weight-gradient shapes; the fused case compares
+/// one fused sweep against the reference's unfused matmul-then-broadcast;
+/// transpose covers the tiled copy; the tanh case compares the in-repo
+/// activation against libm.
 ///
 /// The square `matmul_{n}` cases force the serial path (`parallel:
 /// false`), so they compare single-thread kernels on any host. The
@@ -79,11 +81,13 @@ fn mk(rows: usize, cols: usize, salt: usize) -> Matrix {
 /// threshold, so their blocked arm (and the naive `nt` and fused arms)
 /// runs as a pool round at `FL_WORKERS` (default: every core) workers,
 /// while the naive `tn` never splits. Those three ratios therefore include
-/// one fan-out per call on a multi-core host. The three scheduling cases
-/// (`matmul_256_par4`, `rollout_forward_batched_32`, `pool_fanout_2`)
-/// instead pin the kernel family and vary the *schedule* — worker count,
-/// batching, fan-out — which the bit-exactness contract guarantees cannot
-/// change results.
+/// one fan-out per call on a multi-core host, as does `matmul_tn_3200`'s
+/// (`matmul_tn_3200x1` is below the threshold). `bench_check` prints the
+/// two training-shape cases but gates nothing on them: no baseline
+/// carries them. The three scheduling cases (`matmul_256_par4`,
+/// `rollout_forward_batched_32`, `pool_fanout_2`) instead pin the kernel
+/// family and vary the *schedule* — worker count, batching, fan-out —
+/// which the bit-exactness contract guarantees cannot change results.
 pub fn ops() -> Vec<KernelOp> {
     let mut ops = Vec::new();
     for n in [32usize, 64, 128] {
@@ -124,6 +128,22 @@ pub fn ops() -> Vec<KernelOp> {
             name: "matmul_add_bias_64".to_string(),
             f: Box::new(move |kind| {
                 black_box(a.matmul_add_bias_with(&b, &bias, kind).unwrap());
+            }),
+        });
+    }
+    // Weight gradients `dW = xᵀ · dz` of a training minibatch: 64 samples
+    // broadcast over 50 devices make 3200 rows. The first layer's `x` is
+    // the 63-wide expanded rows and its `dz` 64 wide; the one-column head
+    // reads a 64-wide `x` and is the `n = 1` case. Like `matmul_tn_64`,
+    // the blocked `3200` arm takes a pool round; the `3200x1` shape is
+    // below the threshold and runs serially.
+    for (name, m, n) in [("matmul_tn_3200", 63, 64), ("matmul_tn_3200x1", 64, 1)] {
+        let a = mk(3200, m, 13);
+        let b = mk(3200, n, 14);
+        ops.push(KernelOp {
+            name: name.to_string(),
+            f: Box::new(move |kind| {
+                black_box(a.matmul_tn_with(&b, kind).unwrap());
             }),
         });
     }
@@ -302,6 +322,8 @@ mod tests {
                 "matmul_tn_64",
                 "matmul_nt_64",
                 "matmul_add_bias_64",
+                "matmul_tn_3200",
+                "matmul_tn_3200x1",
                 "transpose_256",
                 "tanh_8192x64",
                 "matmul_256_par4",

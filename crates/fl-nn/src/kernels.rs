@@ -69,6 +69,15 @@ const W_NARROW: usize = 8;
 /// Square tile edge for the blocked transpose copy.
 const TR_TILE: usize = 32;
 
+/// Output rows of one `tn` register block: each `b` row tile loaded at a
+/// k-step feeds this many rows' accumulators.
+const TN_ROWS: usize = 4;
+
+/// k-steps per pass of the `tn` body. One pass reads a `TN_KBLOCK`-row slab
+/// of `a` and of `b`, which stays cache-resident while every output block
+/// takes its terms from it.
+const TN_KBLOCK: usize = 64;
+
 // ---------------------------------------------------------------------------
 // Blocked kernels
 // ---------------------------------------------------------------------------
@@ -227,8 +236,138 @@ fn head_body(a: &[f64], w: &[f64], bias: f64, out: &mut [f64], k: usize) {
     }
 }
 
-/// Runtime-dispatched SIMD monomorphizations of [`matmul_body`] and of the
-/// `tanh` slice body.
+/// One `R x w` block (`w <= T`) of `out = aᵀ · b` over one k-slab,
+/// continued from `out`: output rows `r..r + R` (columns `i..i + R` of
+/// `a`), columns `j..j + w`. Full tiles pass `w = T`, which the inlined
+/// body sees as a constant; the column tail passes its runtime width.
+///
+/// `a` and `b` are the slab's rows in their stored layout (`m` and `n`
+/// wide). Each k-step reads the contiguous `a[k][i..i + R]` and one
+/// `b[k][j..j + w]` tile, so one `b` load feeds `R` rows. Per element the
+/// op sequence is the naive one: k ascending, a term with `a[k][i] == 0.0`
+/// skipped, `mul` then `add`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tn_block<const R: usize, const T: usize>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    n: usize,
+    i: usize,
+    r: usize,
+    j: usize,
+    w: usize,
+) {
+    let mut acc = [[0.0f64; T]; R];
+    for (row, acc) in acc.iter_mut().enumerate() {
+        let at = (r + row) * n + j;
+        acc[..w].copy_from_slice(&out[at..at + w]);
+    }
+    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+        let xs: &[f64; R] = (&a_row[i..i + R]).try_into().expect("row block");
+        let b_tile = &b_row[j..j + w];
+        for (acc, &x) in acc.iter_mut().zip(xs) {
+            if x == 0.0 {
+                continue;
+            }
+            for (o, &bv) in acc[..w].iter_mut().zip(b_tile) {
+                *o += x * bv;
+            }
+        }
+    }
+    for (row, acc) in acc.iter().enumerate() {
+        let at = (r + row) * n + j;
+        out[at..at + w].copy_from_slice(&acc[..w]);
+    }
+}
+
+/// `R` output rows of one k-slab of [`tn_body`], across every column tile.
+#[inline(always)]
+fn tn_rows<const R: usize>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    n: usize,
+    i: usize,
+    r: usize,
+) {
+    let mut j = 0;
+    while j + W_WIDE <= n {
+        tn_block::<R, W_WIDE>(a, b, out, m, n, i, r, j, W_WIDE);
+        j += W_WIDE;
+    }
+    while j + W_NARROW <= n {
+        tn_block::<R, W_NARROW>(a, b, out, m, n, i, r, j, W_NARROW);
+        j += W_NARROW;
+    }
+    if j < n {
+        tn_block::<R, W_NARROW>(a, b, out, m, n, i, r, j, n - j);
+    }
+}
+
+/// `L` lanes of the one-column `tn` over one k-slab, continued from `out`:
+/// `out[r + l] += Σ_k a[k][i + l] · b[k]`. The lanes run across `a`'s row,
+/// and the zero-skip is a per-lane select that keeps the accumulator, as in
+/// [`head_body`].
+#[inline(always)]
+fn tn_lanes<const L: usize>(a: &[f64], b: &[f64], out: &mut [f64], m: usize, i: usize, r: usize) {
+    let mut acc: [f64; L] = out[r..r + L].try_into().expect("lane count");
+    for (a_row, &bk) in a.chunks_exact(m).zip(b) {
+        let xs: &[f64; L] = (&a_row[i..i + L]).try_into().expect("lane count");
+        for (acc, &x) in acc.iter_mut().zip(xs) {
+            let sum = *acc + x * bk;
+            *acc = if x == 0.0 { *acc } else { sum };
+        }
+    }
+    out[r..r + L].copy_from_slice(&acc);
+}
+
+/// Blocked `out = aᵀ · b` over output rows `i0..i0 + out.len() / n`, with
+/// `a` (`k x m`) and `b` (`k x n`) read in their stored layout; `out` holds
+/// `0.0`s on entry and `n > 0`.
+///
+/// k is walked in [`TN_KBLOCK`] slabs; every output element continues its
+/// accumulator from `out` across slabs (an `f64` store and reload is
+/// exact). Within a slab, [`TN_ROWS`] x 32 register blocks share each `b`
+/// row tile across the rows. One output column (the value or one-action
+/// head) runs lanes across `a`'s row instead.
+#[inline(always)]
+fn tn_body(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize, i0: usize) {
+    let rows = out.len() / n;
+    for k0 in (0..k).step_by(TN_KBLOCK) {
+        let k1 = (k0 + TN_KBLOCK).min(k);
+        let (a, b) = (&a[k0 * m..k1 * m], &b[k0 * n..k1 * n]);
+        let mut r = 0;
+        if n == 1 {
+            while r + W_WIDE <= rows {
+                tn_lanes::<W_WIDE>(a, b, out, m, i0 + r, r);
+                r += W_WIDE;
+            }
+            while r + W_NARROW <= rows {
+                tn_lanes::<W_NARROW>(a, b, out, m, i0 + r, r);
+                r += W_NARROW;
+            }
+            while r < rows {
+                tn_lanes::<1>(a, b, out, m, i0 + r, r);
+                r += 1;
+            }
+            continue;
+        }
+        while r + TN_ROWS <= rows {
+            tn_rows::<TN_ROWS>(a, b, out, m, n, i0 + r, r);
+            r += TN_ROWS;
+        }
+        while r < rows {
+            tn_rows::<1>(a, b, out, m, n, i0 + r, r);
+            r += 1;
+        }
+    }
+}
+
+/// Runtime-dispatched SIMD monomorphizations of [`matmul_body`],
+/// [`head_body`], [`tn_body`] and the `tanh` slice body.
 ///
 /// The reference kernels define the bits; these re-compilations only widen
 /// the vector units the *same* op sequence runs on. Each wrapper is a safe
@@ -243,7 +382,7 @@ fn head_body(a: &[f64], w: &[f64], bias: f64, out: &mut [f64], k: usize) {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
-    use super::{head_body, matmul_body};
+    use super::{head_body, matmul_body, tn_body};
     use crate::tanh::tanh_body;
     use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -310,6 +449,16 @@ mod simd {
     }
 
     #[target_feature(enable = "avx512f,fma")]
+    fn tn_avx512(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize, i0: usize) {
+        tn_body(a, b, out, k, m, n, i0)
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    fn tn_avx2(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize, i0: usize) {
+        tn_body(a, b, out, k, m, n, i0)
+    }
+
+    #[target_feature(enable = "avx512f,fma")]
     fn tanh_avx512(xs: &mut [f64]) {
         tanh_body(xs)
     }
@@ -340,6 +489,27 @@ mod simd {
             // target features were detected on this CPU at runtime.
             ISA_AVX512 => unsafe { head_avx512(a, w, bias, out, k) },
             ISA_AVX2 => unsafe { head_avx2(a, w, bias, out, k) },
+            _ => return false,
+        }
+        true
+    }
+
+    /// Runs [`tn_body`] under the widest available vector ISA; `false`
+    /// means the caller should run the baseline-compiled body.
+    pub(super) fn tn(
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+        k: usize,
+        m: usize,
+        n: usize,
+        i0: usize,
+    ) -> bool {
+        match isa() {
+            // SAFETY: each arm is reached only after the corresponding
+            // target features were detected on this CPU at runtime.
+            ISA_AVX512 => unsafe { tn_avx512(a, b, out, k, m, n, i0) },
+            ISA_AVX2 => unsafe { tn_avx2(a, b, out, k, m, n, i0) },
             _ => return false,
         }
         true
@@ -496,11 +666,11 @@ pub(crate) fn affine(
     }
 }
 
-/// Blocked `out = a^T · b` (`a` is `k x m`, `b` is `k x n`).
-///
-/// Materializes `a^T` with the tiled transpose (a pure copy), then reuses
-/// the row-tiled body — which preserves the naive per-element order:
-/// k ascending, `a[k][i] == 0.0` terms skipped.
+/// Blocked `out = aᵀ · b` over output rows `i0..i0 + out.len() / n` (`a`
+/// is `k x m`, `b` is `k x n`, `out` zeroed on entry), read in the stored
+/// layout: no `aᵀ` is formed. The rows are independent, so [`crate::Matrix`]
+/// hands each pool partition its own `i0` and the bits cannot depend on
+/// the split.
 pub(crate) fn blocked_matmul_tn(
     a: &[f64],
     b: &[f64],
@@ -508,13 +678,16 @@ pub(crate) fn blocked_matmul_tn(
     k: usize,
     m: usize,
     n: usize,
+    i0: usize,
 ) {
     if m == 0 || n == 0 {
         return;
     }
-    let mut at = vec![0.0f64; k * m];
-    blocked_transpose(a, &mut at, k, m);
-    run_matmul::<false, true, false>(&at, b, &[], &[], out, k, n);
+    #[cfg(target_arch = "x86_64")]
+    if simd::tn(a, b, out, k, m, n, i0) {
+        return;
+    }
+    tn_body(a, b, out, k, m, n, i0)
 }
 
 /// Blocked `out = a · b^T` (`a` is `m x k`, `b` is `n x k`).
@@ -661,7 +834,7 @@ mod tests {
         let mut out = [0.0f64; 0];
         blocked_matmul(&[], &[], &mut out, 0, 0);
         blocked_matmul_bias(&[], &[], &[], &mut out, 0, 0);
-        blocked_matmul_tn(&[], &[], &mut out, 0, 0, 0);
+        blocked_matmul_tn(&[], &[], &mut out, 0, 0, 0, 0);
         blocked_matmul_nt(&[], &[], &mut out, 0, 0);
         blocked_transpose(&[], &mut out, 0, 0);
         // k = 0 with nonempty output: all sums are empty, so out is zero.

@@ -657,9 +657,9 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Splits output rows into contiguous chunks across the shared
-    /// work-stealing pool (`fl_pool::run_indexed`); each chunk runs
-    /// `serial` on its slice pair.
+    /// Splits the rows of an `m x n` output into contiguous chunks across
+    /// the shared work-stealing pool (`fl_pool::run_indexed`); each chunk
+    /// runs `part(first_row, chunk)`.
     ///
     /// **Why this cannot change bits:** every output element is computed by
     /// exactly one chunk, and within a chunk the serial kernel runs the
@@ -667,8 +667,34 @@ impl Matrix {
     /// unsplit call — the row partition only regroups *independent*
     /// elements, exactly like the column tiling inside the blocked body.
     /// Worker count, chunk boundaries, and scheduling order are therefore
-    /// unobservable in the output; `workers <= 1` degenerates to the plain
-    /// serial call on the calling thread.
+    /// unobservable in the output; `workers <= 1` degenerates to
+    /// `part(0, out)` on the calling thread.
+    fn split_rows(
+        workers: usize,
+        out: &mut [f64],
+        m: usize,
+        n: usize,
+        part: impl Fn(usize, &mut [f64]) + Sync,
+    ) {
+        let workers = workers.min(m.max(1));
+        if workers <= 1 || n == 0 {
+            part(0, out);
+            return;
+        }
+        let rows_per = m.div_ceil(workers);
+        let chunks: Vec<(usize, &mut [f64])> = out
+            .chunks_mut(rows_per * n)
+            .enumerate()
+            .map(|(chunk_idx, chunk)| (chunk_idx * rows_per, chunk))
+            .collect();
+        fl_pool::run_indexed(workers, chunks, |_idx, (first_row, chunk)| {
+            part(first_row, chunk)
+        });
+    }
+
+    /// [`Matrix::split_rows`] for a row-major product whose output rows
+    /// are those of `a` (`m x k`): each chunk runs `serial` on its rows of
+    /// `a` and of the output.
     fn row_split_parallel(
         workers: usize,
         a: &[f64],
@@ -678,23 +704,9 @@ impl Matrix {
         n: usize,
         serial: impl Fn(&[f64], &mut [f64]) + Sync,
     ) {
-        let workers = workers.min(m.max(1));
-        if workers <= 1 || n == 0 {
-            serial(a, out);
-            return;
-        }
-        let rows_per = m.div_ceil(workers);
-        let chunks: Vec<(&[f64], &mut [f64])> = out
-            .chunks_mut(rows_per * n)
-            .enumerate()
-            .map(|(chunk_idx, out_chunk)| {
-                let a_start = chunk_idx * rows_per;
-                let a_rows = out_chunk.len() / n;
-                (&a[a_start * k..(a_start + a_rows) * k], out_chunk)
-            })
-            .collect();
-        fl_pool::run_indexed(workers, chunks, |_idx, (a_chunk, out_chunk)| {
-            serial(a_chunk, out_chunk)
+        Self::split_rows(workers, out, m, n, |first_row, chunk| {
+            let rows = chunk.len().checked_div(n).unwrap_or(m);
+            serial(&a[first_row * k..(first_row + rows) * k], chunk)
         });
     }
 
@@ -718,7 +730,16 @@ impl Matrix {
         self.matmul_tn_impl(other, KernelKind::Naive)
     }
 
-    fn matmul_tn_impl(&self, other: &Matrix, kind: KernelKind) -> Result<Matrix> {
+    /// [`Matrix::matmul_tn`] on the blocked family, its output rows
+    /// partitioned over exactly `workers` pool workers whatever the shape —
+    /// the conformance suite's probe that the split is bit-invariant.
+    #[cfg(any(test, feature = "reference-kernels"))]
+    pub fn matmul_tn_par_with_workers(&self, other: &Matrix, workers: usize) -> Result<Matrix> {
+        self.check_tn(other)?;
+        Ok(self.tn_split(other, workers))
+    }
+
+    fn check_tn(&self, other: &Matrix) -> Result<()> {
         if self.rows != other.rows {
             return Err(NnError::ShapeMismatch {
                 op: "matmul_tn",
@@ -726,37 +747,40 @@ impl Matrix {
                 rhs: other.shape(),
             });
         }
+        Ok(())
+    }
+
+    fn matmul_tn_impl(&self, other: &Matrix, kind: KernelKind) -> Result<Matrix> {
+        self.check_tn(other)?;
         let (k, m, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        match kind {
-            // Above the threshold the blocked path materializes `a^T`
-            // here (the identical pure-permutation copy the serial kernel
-            // performs internally) and row-splits the same tiled body —
-            // so the parallel product is bit-identical by construction.
+        Ok(match kind {
             KernelKind::Blocked if par_dispatch(m, k, n) => {
-                let mut at = vec![0.0f64; k * m];
-                kernels::blocked_transpose(&self.data, &mut at, k, m);
-                Self::row_split_parallel(
-                    fl_pool::env_workers(),
-                    &at,
-                    &mut out.data,
-                    m,
-                    k,
-                    n,
-                    |a_chunk, out_chunk| {
-                        kernels::blocked_matmul(a_chunk, &other.data, out_chunk, k, n)
-                    },
-                );
+                self.tn_split(other, fl_pool::env_workers())
             }
-            KernelKind::Blocked => {
-                kernels::blocked_matmul_tn(&self.data, &other.data, &mut out.data, k, m, n)
-            }
+            KernelKind::Blocked => self.tn_split(other, 1),
             // The naive tn reference iterates k in the *outer* loop, so its
             // row range cannot be partitioned; it stays serial at any size.
             #[cfg(any(test, feature = "reference-kernels"))]
-            KernelKind::Naive => naive_matmul_tn(&self.data, &other.data, &mut out.data, k, m, n),
-        }
-        Ok(out)
+            KernelKind::Naive => {
+                let mut out = Matrix::zeros(m, n);
+                naive_matmul_tn(&self.data, &other.data, &mut out.data, k, m, n);
+                out
+            }
+        })
+    }
+
+    /// The blocked `self^T * other`, its output rows split over `workers`
+    /// pool workers by [`Matrix::split_rows`]. Each chunk reads `self` and
+    /// `other` whole, in their stored layout, and computes only its own
+    /// rows (its columns of `self`).
+    fn tn_split(&self, other: &Matrix, workers: usize) -> Matrix {
+        let (k, m, n) = (self.rows, self.cols, other.cols);
+        let mut out = Matrix::zeros(m, n);
+        let (a, b) = (&self.data, &other.data);
+        Self::split_rows(workers, &mut out.data, m, n, |first_row, chunk| {
+            kernels::blocked_matmul_tn(a, b, chunk, k, m, n, first_row)
+        });
+        out
     }
 
     /// `self * other^T` without materializing the transpose.

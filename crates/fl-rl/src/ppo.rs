@@ -361,9 +361,13 @@ impl PpoAgent {
     }
 
     /// Attaches an observability recorder: [`PpoAgent::update`] will time
-    /// its GAE/epoch phases and emit one deterministic `ppo_update` event
-    /// per completed update. The recorder is not serialized, so any
-    /// snapshot restore detaches it — re-attach after resume or rollback.
+    /// its GAE/epoch phases, and inside `epochs` each minibatch step's
+    /// `actor_forward` (forward, log-probs, surrogate loss),
+    /// `actor_backward` (parameter gradients), `optim` (actor clip and
+    /// steps) and `critic` (the whole value-net step), and emit one
+    /// deterministic `ppo_update` event per completed update. The recorder
+    /// is not serialized, so any snapshot restore detaches it — re-attach
+    /// after resume or rollback.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -549,6 +553,7 @@ impl PpoAgent {
                 let bs = chunk.len() as f64;
 
                 // ---- actor: clipped surrogate + entropy bonus ----
+                let actor_forward = self.recorder.span("actor_forward");
                 self.policy.zero_grad();
                 let means = self.policy.forward_means(&obs_mb)?;
                 let logp_new = self.policy.log_prob_batch(&means, &act_mb)?;
@@ -579,11 +584,15 @@ impl PpoAgent {
                         "non-finite policy loss {full_loss}"
                     )));
                 }
+                drop(actor_forward);
+                let actor_backward = self.recorder.span("actor_backward");
                 self.policy
                     .accumulate_logprob_grads(&means, &act_mb, &dl_dlogp)?;
                 // d(−c_ent · H)/d lnσ_d = −c_ent.
                 self.policy
                     .add_uniform_log_std_grad(-self.config.entropy_coef);
+                drop(actor_backward);
+                let optim = self.recorder.span("optim");
                 total_gnorm += self
                     .policy
                     .mean_net_mut()
@@ -592,10 +601,12 @@ impl PpoAgent {
                 let ls_grads = self.policy.log_std_grad().to_vec();
                 let deltas = self.log_std_opt.step(&ls_grads);
                 self.policy.apply_log_std_delta(&deltas);
+                drop(optim);
 
                 // ---- critic: regression onto GAE returns (λ_GAE = 0 makes
                 // these exactly the TD targets of Algorithm 1 line 20);
                 // optionally PPO2-clipped against the at-sampling values ----
+                let critic = self.recorder.span("critic");
                 let ret_mb = Matrix::from_vec(
                     chunk.len(),
                     1,
@@ -637,6 +648,7 @@ impl PpoAgent {
                     .net_mut()
                     .clip_grad_norm(self.config.max_grad_norm);
                 self.critic_opt.step(self.value.net_mut());
+                drop(critic);
 
                 total_ploss += ploss;
                 total_vloss += vloss;

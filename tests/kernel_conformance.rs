@@ -23,11 +23,12 @@
 //! tiled `mean_actions` equals its training forward.
 //!
 //! The pool-parallel extension: the row-split GEMM path is forced at
-//! explicit worker counts (1/2/4/8) via `matmul_par_with_workers` /
-//! `matmul_nt_par_with_workers` and compared bitwise against the serial
-//! kernels on shapes straddling the dispatch threshold, the threshold edge
-//! itself is pinned as a pure function of shape, and batched-forward row
-//! independence (the batched-rollout contract) gets a hand-computed golden.
+//! explicit worker counts (1/2/4/8) via `matmul_par_with_workers`,
+//! `matmul_nt_par_with_workers` and `matmul_tn_par_with_workers` and
+//! compared bitwise against the serial kernels on shapes straddling the
+//! dispatch threshold, the threshold edge itself is pinned as a pure
+//! function of shape, and batched-forward row independence (the
+//! batched-rollout contract) gets a hand-computed golden.
 
 #[path = "common/harness.rs"]
 mod harness;
@@ -76,6 +77,25 @@ fn dim(rng: &mut ChaCha8Rng) -> usize {
         1 => 1,
         2..=7 => rng.gen_range(2..=24),
         _ => rng.gen_range(25..=64),
+    }
+}
+
+/// The inner dimension of a `tn` product: a small one, or one that spans
+/// several of the blocked body's 64-step k-slabs (up to 300, not a
+/// multiple of 64).
+fn dim_tn_k(rng: &mut ChaCha8Rng) -> usize {
+    match rng.gen_range(0..3u32) {
+        0 => dim(rng),
+        _ => rng.gen_range(65..=300),
+    }
+}
+
+/// The output width of a `tn` product: the one-column head one time in
+/// four, else [`dim`].
+fn dim_tn_n(rng: &mut ChaCha8Rng) -> usize {
+    match rng.gen_range(0..4u32) {
+        0 => 1,
+        _ => dim(rng),
     }
 }
 
@@ -135,11 +155,13 @@ proptest! {
     /// `matmul_tn`: blocked == naive == explicit-transpose matmul, bitwise.
     /// The last leg pins the contract that `a^T * b` computed without
     /// materializing `a^T` accumulates in the same order as the
-    /// materialized form.
+    /// materialized form. `k` often spans several of the blocked body's
+    /// k-slabs, `m` is often not a multiple of its row block, and one
+    /// shape in four has the one-column (`n = 1`) head.
     #[test]
     fn prop_matmul_tn_families_bit_identical(seed in 0u64..1 << 32) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let (k, m, n) = (dim(&mut rng), dim(&mut rng), dim(&mut rng));
+        let (k, m, n) = (dim_tn_k(&mut rng), dim(&mut rng), dim_tn_n(&mut rng));
         let specials = seed % 2 == 0;
         let a = rand_matrix(&mut rng, k, m, specials);
         let b = rand_matrix(&mut rng, k, n, specials);
@@ -262,6 +284,28 @@ proptest! {
                     "nt {}x{}x{} specials={} {:?} workers={}", m, k, n, specials, kind, workers
                 );
             }
+        }
+    }
+
+    /// The same sweep for `matmul_tn`: every pool partition reads `a` and
+    /// `b` whole in their stored layout and computes its own output rows,
+    /// so 1/2/4/8 workers reproduce the serial reference's bits — across
+    /// k-slabs, the one-column head and NaN/±Inf/±0 terms.
+    #[test]
+    fn prop_parallel_matmul_tn_any_worker_count_bit_identical(seed in 0u64..1 << 32) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x3C3C_0000);
+        let (k, m, n) = (dim_tn_k(&mut rng), dim_par(&mut rng), dim_tn_n(&mut rng));
+        let specials = seed % 2 == 0;
+        let a = rand_matrix(&mut rng, k, m, specials);
+        let b = rand_matrix(&mut rng, k, n, specials);
+        let serial = a.naive_matmul_tn(&b).unwrap();
+        prop_assert!(bits(&serial) == bits(&a.matmul_tn_with(&b, KernelKind::Blocked).unwrap()));
+        for workers in [1usize, 2, 4, 8] {
+            let par = a.matmul_tn_par_with_workers(&b, workers).unwrap();
+            prop_assert!(
+                bits(&par) == bits(&serial),
+                "tn {}x{}x{} specials={} workers={}", k, m, n, specials, workers
+            );
         }
     }
 }
